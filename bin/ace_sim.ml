@@ -13,14 +13,6 @@ open Cmdliner
 module Obs = Ace_obs.Obs
 module Export = Ace_obs.Export
 
-let scale_arg =
-  let doc = "Workload scale factor (1.0 = default reproduction scale)." in
-  Arg.(value & opt float 1.0 & info [ "scale" ] ~docv:"X" ~doc)
-
-let seed_arg =
-  let doc = "Deterministic seed for workload construction and simulation." in
-  Arg.(value & opt int 1 & info [ "seed" ] ~docv:"N" ~doc)
-
 let workload_conv =
   let parse s =
     match Ace_workloads.Specjvm.find s with
@@ -54,6 +46,52 @@ let rate_conv =
     | Some r -> Ok r
   in
   Arg.conv (parse, Format.pp_print_float)
+
+let scale_arg =
+  let doc = "Workload scale factor (1.0 = default reproduction scale)." in
+  Arg.(value & opt float 1.0 & info [ "scale" ] ~docv:"X" ~doc)
+
+let seed_arg =
+  let doc = "Deterministic seed for workload construction and simulation." in
+  Arg.(value & opt int 1 & info [ "seed" ] ~docv:"N" ~doc)
+
+let scheme_arg =
+  Arg.(
+    value
+    & opt scheme_conv Ace_harness.Scheme.Hotspot
+    & info [ "s"; "scheme" ] ~docv:"SCHEME"
+        ~doc:"Resource-management scheme: baseline, hotspot or bbv.")
+
+let faults_arg =
+  Arg.(
+    value
+    & opt (some rate_conv) None
+    & info [ "faults" ] ~docv:"RATE"
+        ~doc:
+          "Inject hardware faults at the given base rate in [0, 1] (e.g. \
+           0.01 = 1% register-write drop/corrupt probability, plus derived \
+           stuck-CU, measurement-noise, sampler-jitter and \
+           snapshot-corruption rates).")
+
+let resilient_arg =
+  Arg.(
+    value & flag
+    & info [ "resilient" ]
+        ~doc:
+          "Enable the framework's resilience machinery (retry/backoff, \
+           quarantine, graceful degradation; hotspot scheme only).")
+
+(* Memoized phase statistics are only invalidated safely when the framework
+   can detect and recover from faulty configurations, so a sampled faulty
+   run without the resilient policy is a usage error (exit 2). *)
+let check_sample_faults ~sample ~fault_rate ~resilient =
+  if sample && fault_rate <> None && not resilient then begin
+    Printf.eprintf
+      "ace_sim: --sample with --faults requires --resilient (memoized \
+       phase statistics are only invalidated safely when the framework \
+       can detect and recover from faulty configurations)\n";
+    exit 2
+  end
 
 (* Strictly positive instruction counts (checkpoint cadence, kill point):
    zero or negative values would silently disable checkpointing or kill the
@@ -148,34 +186,8 @@ let run_cmd =
       & info [] ~docv:"BENCHMARK"
           ~doc:"SPECjvm98 benchmark name (optional with $(b,--resume)).")
   in
-  let scheme =
-    Arg.(
-      value
-      & opt scheme_conv Ace_harness.Scheme.Hotspot
-      & info [ "s"; "scheme" ] ~docv:"SCHEME"
-          ~doc:"Resource-management scheme: baseline, hotspot or bbv.")
-  in
   let verbose =
     Arg.(value & flag & info [ "v"; "verbose" ] ~doc:"Print per-hotspot selections.")
-  in
-  let fault_rate =
-    Arg.(
-      value
-      & opt (some rate_conv) None
-      & info [ "faults" ] ~docv:"RATE"
-          ~doc:
-            "Inject hardware faults at the given base rate in [0, 1] (e.g. \
-             0.01 = 1% register-write drop/corrupt probability, plus derived \
-             stuck-CU, measurement-noise, sampler-jitter and \
-             snapshot-corruption rates).")
-  in
-  let resilient =
-    Arg.(
-      value & flag
-      & info [ "resilient" ]
-          ~doc:
-            "Enable the framework's resilience machinery (retry/backoff, \
-             quarantine, graceful degradation; hotspot scheme only).")
   in
   let checkpoint =
     Arg.(
@@ -245,13 +257,7 @@ let run_cmd =
       Printf.eprintf "ace_sim: --sample-repeats requires --sample\n";
       exit 2
     end;
-    if sample_flag && fault_rate <> None && not resilient then begin
-      Printf.eprintf
-        "ace_sim: --sample with --faults requires --resilient (memoized \
-         phase statistics are only invalidated safely when the framework \
-         can detect and recover from faulty configurations)\n";
-      exit 2
-    end;
+    check_sample_faults ~sample:sample_flag ~fault_rate ~resilient;
     if sample_flag && resume <> None then begin
       Printf.eprintf
         "ace_sim: --sample cannot be set on --resume (the snapshot's \
@@ -348,8 +354,8 @@ let run_cmd =
   in
   Cmd.v info
     Term.(
-      const action $ workload $ scheme $ scale_arg $ seed_arg $ verbose
-      $ fault_rate $ resilient $ checkpoint $ checkpoint_every $ resume
+      const action $ workload $ scheme_arg $ scale_arg $ seed_arg $ verbose
+      $ faults_arg $ resilient_arg $ checkpoint $ checkpoint_every $ resume
       $ kill_after $ sample_flag $ sample_repeats $ trace_arg $ metrics_arg
       $ obs_level_arg)
 
@@ -359,13 +365,6 @@ let report_cmd =
       required
       & pos 0 (some workload_conv) None
       & info [] ~docv:"BENCHMARK" ~doc:"SPECjvm98 benchmark name.")
-  in
-  let scheme =
-    Arg.(
-      value
-      & opt scheme_conv Ace_harness.Scheme.Hotspot
-      & info [ "s"; "scheme" ] ~docv:"SCHEME"
-          ~doc:"Resource-management scheme: baseline, hotspot or bbv.")
   in
   let sample =
     Arg.(
@@ -392,7 +391,7 @@ let report_cmd =
          human-readable activity report (metrics, rates, timeline tail)."
   in
   Cmd.v info
-    Term.(const action $ workload $ scheme $ scale_arg $ seed_arg $ sample)
+    Term.(const action $ workload $ scheme_arg $ scale_arg $ seed_arg $ sample)
 
 let exp_cmd =
   let ids =
@@ -675,26 +674,6 @@ let submit_cmd =
       & pos 0 (some workload_conv) None
       & info [] ~docv:"BENCHMARK" ~doc:"SPECjvm98 benchmark name.")
   in
-  let scheme =
-    Arg.(
-      value
-      & opt scheme_conv Ace_harness.Scheme.Hotspot
-      & info [ "s"; "scheme" ] ~docv:"SCHEME"
-          ~doc:"Resource-management scheme: baseline, hotspot or bbv.")
-  in
-  let fault_rate =
-    Arg.(
-      value
-      & opt (some rate_conv) None
-      & info [ "faults" ] ~docv:"RATE"
-          ~doc:"Inject hardware faults at the given base rate in [0, 1].")
-  in
-  let resilient =
-    Arg.(
-      value & flag
-      & info [ "resilient" ]
-          ~doc:"Enable the resilient tuner policy (hotspot scheme only).")
-  in
   let deadline =
     Arg.(
       value
@@ -739,13 +718,7 @@ let submit_cmd =
   in
   let action socket workload scheme scale seed fault_rate resilient sample
       deadline fail_after wait timeout =
-    if sample && fault_rate <> None && not resilient then begin
-      Printf.eprintf
-        "ace_sim: --sample with --faults requires --resilient (memoized \
-         phase statistics are only safely invalidated under the resilient \
-         policy)\n";
-      exit 2
-    end;
+    check_sample_faults ~sample ~fault_rate ~resilient;
     let spec =
       Serve_protocol.job_spec ?fault_rate ~resilient ~sample
         ?deadline_s:deadline ?fail_after ~scale ~seed
@@ -780,8 +753,8 @@ let submit_cmd =
   in
   Cmd.v info
     Term.(
-      const action $ socket_arg $ workload $ scheme $ scale_arg $ seed_arg
-      $ fault_rate $ resilient $ sample $ deadline $ fail_after $ wait
+      const action $ socket_arg $ workload $ scheme_arg $ scale_arg $ seed_arg
+      $ faults_arg $ resilient_arg $ sample $ deadline $ fail_after $ wait
       $ timeout)
 
 let status_cmd =

@@ -1,26 +1,15 @@
 module Codec = Ace_util.Codec
 module Crc32 = Ace_util.Crc32
 module Io = Ace_util.Io
-module Enc = Codec.Enc
-module Dec = Codec.Dec
 module Stats = Ace_util.Stats
-module Pattern = Ace_isa.Pattern
-module Cache = Ace_mem.Cache
-module Tlb = Ace_mem.Tlb
-module Hierarchy = Ace_mem.Hierarchy
-module Accounting = Ace_power.Accounting
-module Db = Ace_vm.Do_database
 module Engine = Ace_vm.Engine
-module Cu = Ace_core.Cu
 module Tuner = Ace_core.Tuner
 module Framework = Ace_core.Framework
 module Bbv_scheme = Ace_bbv.Scheme
-module Vector = Ace_bbv.Vector
-module Tracker = Ace_bbv.Tracker
-module Next_phase = Ace_bbv.Next_phase
 module Faults = Ace_faults.Faults
 module Obs = Ace_obs.Obs
 module Sample = Ace_sample.Sample
+open Codec
 
 type error =
   | Truncated of { expected : int; got : int }
@@ -73,1220 +62,551 @@ type t = {
   sample_state : Sample.state option;
 }
 
-(* {2 Payload encoders/decoders}
+(* {2 Payload codecs}
 
-   Every encoder has a decoder reading the exact same field order.  The
-   layout is the snapshot format: changing any of these (or the state types
-   they serialize) requires bumping {!version} below. *)
+   Each state type is described once, as a [Codec.t] whose field order is
+   the byte layout, so an encoder and its decoder cannot disagree.  Changing
+   any of these (or the state types they describe) requires bumping
+   {!version} below and regenerating the test fixtures. *)
 
-let enc_running e (s : Stats.Running.state) =
-  Enc.int e s.Stats.Running.s_n;
-  Enc.f64 e s.Stats.Running.s_mean;
-  Enc.f64 e s.Stats.Running.s_m2;
-  Enc.f64 e s.Stats.Running.s_last
+let running =
+  let open Stats.Running in
+  let+ s_n = field int (fun s -> s.s_n)
+  and+ s_mean = field float (fun s -> s.s_mean)
+  and+ s_m2 = field float (fun s -> s.s_m2)
+  and+ s_last = field float (fun s -> s.s_last) in
+  { s_n; s_mean; s_m2; s_last }
 
-let dec_running d =
-  let s_n = Dec.int d in
-  let s_mean = Dec.f64 d in
-  let s_m2 = Dec.f64 d in
-  let s_last = Dec.f64 d in
-  { Stats.Running.s_n; s_mean; s_m2; s_last }
+let ema =
+  let open Stats.Ema in
+  let+ s_value = field float (fun s -> s.s_value)
+  and+ s_seeded = field bool (fun s -> s.s_seeded) in
+  { s_value; s_seeded }
 
-let enc_ema e (s : Stats.Ema.state) =
-  Enc.f64 e s.Stats.Ema.s_value;
-  Enc.bool e s.Stats.Ema.s_seeded
+let cursor =
+  let open Ace_isa.Pattern in
+  let+ s_offset = field int (fun s -> s.s_offset)
+  and+ s_steps = field int (fun s -> s.s_steps) in
+  { s_offset; s_steps }
 
-let dec_ema d =
-  let s_value = Dec.f64 d in
-  let s_seeded = Dec.bool d in
-  { Stats.Ema.s_value; s_seeded }
+let cache =
+  let open Ace_mem.Cache in
+  let+ s_size_bytes = field int (fun s -> s.s_size_bytes)
+  and+ s_tags = field (array int) (fun s -> s.s_tags)
+  and+ s_dirty = field (array bool) (fun s -> s.s_dirty)
+  and+ s_stamp = field (array int) (fun s -> s.s_stamp)
+  and+ s_clock = field int (fun s -> s.s_clock)
+  and+ s_last_victim = field int (fun s -> s.s_last_victim)
+  and+ s_accesses = field int (fun s -> s.s_accesses)
+  and+ s_hits = field int (fun s -> s.s_hits)
+  and+ s_writebacks = field int (fun s -> s.s_writebacks)
+  and+ s_flush_writebacks = field int (fun s -> s.s_flush_writebacks)
+  and+ s_resizes = field int (fun s -> s.s_resizes) in
+  { s_size_bytes; s_tags; s_dirty; s_stamp; s_clock; s_last_victim; s_accesses; s_hits;
+    s_writebacks; s_flush_writebacks; s_resizes }
 
-let enc_cursor e (s : Pattern.cursor_state) =
-  Enc.int e s.Pattern.s_offset;
-  Enc.int e s.Pattern.s_steps
+let tlb =
+  let open Ace_mem.Tlb in
+  let+ s_resident = field (array int) (fun s -> s.s_resident)
+  and+ s_fifo = field (array int) (fun s -> s.s_fifo)
+  and+ s_head = field int (fun s -> s.s_head)
+  and+ s_filled = field int (fun s -> s.s_filled)
+  and+ s_accesses = field int (fun s -> s.s_accesses)
+  and+ s_misses = field int (fun s -> s.s_misses) in
+  { s_resident; s_fifo; s_head; s_filled; s_accesses; s_misses }
 
-let dec_cursor d =
-  let s_offset = Dec.int d in
-  let s_steps = Dec.int d in
-  { Pattern.s_offset; s_steps }
+let hier =
+  let open Ace_mem.Hierarchy in
+  let+ s_l1i = field cache (fun s -> s.s_l1i)
+  and+ s_l1d = field cache (fun s -> s.s_l1d)
+  and+ s_l2 = field cache (fun s -> s.s_l2)
+  and+ s_dtlb = field tlb (fun s -> s.s_dtlb)
+  and+ s_mem_reads = field int (fun s -> s.s_mem_reads)
+  and+ s_mem_writebacks = field int (fun s -> s.s_mem_writebacks) in
+  { s_l1i; s_l1d; s_l2; s_dtlb; s_mem_reads; s_mem_writebacks }
 
-let enc_cache e (s : Cache.state) =
-  Enc.int e s.Cache.s_size_bytes;
-  Enc.int_arr e s.Cache.s_tags;
-  Enc.bool_arr e s.Cache.s_dirty;
-  Enc.int_arr e s.Cache.s_stamp;
-  Enc.int e s.Cache.s_clock;
-  Enc.int e s.Cache.s_last_victim;
-  Enc.int e s.Cache.s_accesses;
-  Enc.int e s.Cache.s_hits;
-  Enc.int e s.Cache.s_writebacks;
-  Enc.int e s.Cache.s_flush_writebacks;
-  Enc.int e s.Cache.s_resizes
+let hier_counts =
+  let open Ace_mem.Hierarchy in
+  let+ c_l1i_accesses = field int (fun c -> c.c_l1i_accesses)
+  and+ c_l1i_hits = field int (fun c -> c.c_l1i_hits)
+  and+ c_l1i_writebacks = field int (fun c -> c.c_l1i_writebacks)
+  and+ c_l1d_accesses = field int (fun c -> c.c_l1d_accesses)
+  and+ c_l1d_hits = field int (fun c -> c.c_l1d_hits)
+  and+ c_l1d_writebacks = field int (fun c -> c.c_l1d_writebacks)
+  and+ c_l2_accesses = field int (fun c -> c.c_l2_accesses)
+  and+ c_l2_hits = field int (fun c -> c.c_l2_hits)
+  and+ c_l2_writebacks = field int (fun c -> c.c_l2_writebacks)
+  and+ c_tlb_accesses = field int (fun c -> c.c_tlb_accesses)
+  and+ c_tlb_misses = field int (fun c -> c.c_tlb_misses)
+  and+ c_mem_reads = field int (fun c -> c.c_mem_reads)
+  and+ c_mem_writebacks = field int (fun c -> c.c_mem_writebacks) in
+  { c_l1i_accesses; c_l1i_hits; c_l1i_writebacks; c_l1d_accesses; c_l1d_hits;
+    c_l1d_writebacks; c_l2_accesses; c_l2_hits; c_l2_writebacks; c_tlb_accesses;
+    c_tlb_misses; c_mem_reads; c_mem_writebacks }
 
-let dec_cache d =
-  let s_size_bytes = Dec.int d in
-  let s_tags = Dec.int_arr d in
-  let s_dirty = Dec.bool_arr d in
-  let s_stamp = Dec.int_arr d in
-  let s_clock = Dec.int d in
-  let s_last_victim = Dec.int d in
-  let s_accesses = Dec.int d in
-  let s_hits = Dec.int d in
-  let s_writebacks = Dec.int d in
-  let s_flush_writebacks = Dec.int d in
-  let s_resizes = Dec.int d in
-  {
-    Cache.s_size_bytes;
-    s_tags;
-    s_dirty;
-    s_stamp;
-    s_clock;
-    s_last_victim;
-    s_accesses;
-    s_hits;
-    s_writebacks;
-    s_flush_writebacks;
-    s_resizes;
-  }
+let db_entry =
+  let open Ace_vm.Do_database in
+  let+ s_invocations = field int (fun s -> s.s_invocations)
+  and+ s_samples = field int (fun s -> s.s_samples)
+  and+ s_compile_state =
+    field (enum "compile_state" [ Baseline; Optimized ]) (fun s -> s.s_compile_state)
+  and+ s_is_hotspot = field bool (fun s -> s.s_is_hotspot)
+  and+ s_promoted_at_instr = field int (fun s -> s.s_promoted_at_instr)
+  and+ s_pre_promotion_instrs = field int (fun s -> s.s_pre_promotion_instrs)
+  and+ s_size_ema = field ema (fun s -> s.s_size_ema)
+  and+ s_ipc_profile = field running (fun s -> s.s_ipc_profile)
+  and+ s_entry_overhead = field int (fun s -> s.s_entry_overhead)
+  and+ s_exit_overhead = field int (fun s -> s.s_exit_overhead) in
+  { s_invocations; s_samples; s_compile_state; s_is_hotspot; s_promoted_at_instr;
+    s_pre_promotion_instrs; s_size_ema; s_ipc_profile; s_entry_overhead;
+    s_exit_overhead }
 
-let enc_tlb e (s : Tlb.state) =
-  Enc.int_arr e s.Tlb.s_resident;
-  Enc.int_arr e s.Tlb.s_fifo;
-  Enc.int e s.Tlb.s_head;
-  Enc.int e s.Tlb.s_filled;
-  Enc.int e s.Tlb.s_accesses;
-  Enc.int e s.Tlb.s_misses
+let frame =
+  let open Engine in
+  let+ fs_meth = field int (fun s -> s.fs_meth)
+  and+ fs_quality = field float (fun s -> s.fs_quality)
+  and+ fs_was_hotspot = field bool (fun s -> s.fs_was_hotspot)
+  and+ fs_saved_meth = field int (fun s -> s.fs_saved_meth)
+  and+ fs_instrs0 = field int (fun s -> s.fs_instrs0)
+  and+ fs_cycles0 = field float (fun s -> s.fs_cycles0)
+  and+ fs_l1a0 = field int (fun s -> s.fs_l1a0)
+  and+ fs_l1m0 = field int (fun s -> s.fs_l1m0)
+  and+ fs_l2a0 = field int (fun s -> s.fs_l2a0)
+  and+ fs_l2m0 = field int (fun s -> s.fs_l2m0)
+  and+ fs_sample = field int (fun s -> s.fs_sample)
+  and+ fs_pos = field int (fun s -> s.fs_pos)
+  and+ fs_calls_left = field int (fun s -> s.fs_calls_left) in
+  { fs_meth; fs_quality; fs_was_hotspot; fs_saved_meth; fs_instrs0; fs_cycles0; fs_l1a0;
+    fs_l1m0; fs_l2a0; fs_l2m0; fs_sample; fs_pos; fs_calls_left }
 
-let dec_tlb d =
-  let s_resident = Dec.int_arr d in
-  let s_fifo = Dec.int_arr d in
-  let s_head = Dec.int d in
-  let s_filled = Dec.int d in
-  let s_accesses = Dec.int d in
-  let s_misses = Dec.int d in
-  { Tlb.s_resident; s_fifo; s_head; s_filled; s_accesses; s_misses }
+let ff_run =
+  let open Engine in
+  let+ ffs_instrs = field int (fun s -> s.ffs_instrs)
+  and+ ffs_cycles = field float (fun s -> s.ffs_cycles)
+  and+ ffs_counts = field hier_counts (fun s -> s.ffs_counts)
+  and+ ffs_start_cycles = field float (fun s -> s.ffs_start_cycles) in
+  { ffs_instrs; ffs_cycles; ffs_counts; ffs_start_cycles }
 
-let enc_hier e (s : Hierarchy.state) =
-  enc_cache e s.Hierarchy.s_l1i;
-  enc_cache e s.Hierarchy.s_l1d;
-  enc_cache e s.Hierarchy.s_l2;
-  enc_tlb e s.Hierarchy.s_dtlb;
-  Enc.int e s.Hierarchy.s_mem_reads;
-  Enc.int e s.Hierarchy.s_mem_writebacks
+let engine =
+  let open Engine in
+  let+ s_instrs = field int (fun s -> s.s_instrs)
+  and+ s_cycles = field float (fun s -> s.s_cycles)
+  and+ s_overhead_instrs = field int (fun s -> s.s_overhead_instrs)
+  and+ s_hot_instrs = field int (fun s -> s.s_hot_instrs)
+  and+ s_next_sample_at = field float (fun s -> s.s_next_sample_at)
+  and+ s_next_interval_at = field int (fun s -> s.s_next_interval_at)
+  and+ s_current_meth = field int (fun s -> s.s_current_meth)
+  and+ s_hotspot_depth = field int (fun s -> s.s_hotspot_depth)
+  and+ s_ilp_scale = field float (fun s -> s.s_ilp_scale)
+  and+ s_exposure_scale = field float (fun s -> s.s_exposure_scale)
+  and+ s_stack = field (array frame) (fun s -> s.s_stack)
+  and+ s_rng = field int64 (fun s -> s.s_rng)
+  and+ s_cursors = field (array cursor) (fun s -> s.s_cursors)
+  and+ s_db = field (array db_entry) (fun s -> s.s_db)
+  and+ s_hier = field hier (fun s -> s.s_hier)
+  and+ s_ff = field (option ff_run) (fun s -> s.s_ff) in
+  { s_instrs; s_cycles; s_overhead_instrs; s_hot_instrs; s_next_sample_at;
+    s_next_interval_at; s_current_meth; s_hotspot_depth; s_ilp_scale; s_exposure_scale;
+    s_stack; s_rng; s_cursors; s_db; s_hier; s_ff }
 
-let dec_hier d =
-  let s_l1i = dec_cache d in
-  let s_l1d = dec_cache d in
-  let s_l2 = dec_cache d in
-  let s_dtlb = dec_tlb d in
-  let s_mem_reads = Dec.int d in
-  let s_mem_writebacks = Dec.int d in
-  { Hierarchy.s_l1i; s_l1d; s_l2; s_dtlb; s_mem_reads; s_mem_writebacks }
+let latch =
+  let open Faults in
+  let+ ls_cu = field string (fun l -> l.ls_cu)
+  and+ ls_until = field (option int) (fun l -> l.ls_until) in
+  { ls_cu; ls_until }
 
-let enc_counts e (c : Hierarchy.counts) =
-  Enc.int e c.Hierarchy.c_l1i_accesses;
-  Enc.int e c.Hierarchy.c_l1i_hits;
-  Enc.int e c.Hierarchy.c_l1i_writebacks;
-  Enc.int e c.Hierarchy.c_l1d_accesses;
-  Enc.int e c.Hierarchy.c_l1d_hits;
-  Enc.int e c.Hierarchy.c_l1d_writebacks;
-  Enc.int e c.Hierarchy.c_l2_accesses;
-  Enc.int e c.Hierarchy.c_l2_hits;
-  Enc.int e c.Hierarchy.c_l2_writebacks;
-  Enc.int e c.Hierarchy.c_tlb_accesses;
-  Enc.int e c.Hierarchy.c_tlb_misses;
-  Enc.int e c.Hierarchy.c_mem_reads;
-  Enc.int e c.Hierarchy.c_mem_writebacks
+let faults =
+  let open Faults in
+  let+ s_rng = field int64 (fun s -> s.s_rng)
+  and+ s_ckpt_rng = field int64 (fun s -> s.s_ckpt_rng)
+  and+ s_latched = field (array latch) (fun s -> s.s_latched)
+  and+ s_writes_dropped = field int (fun s -> s.s_writes_dropped)
+  and+ s_writes_corrupted = field int (fun s -> s.s_writes_corrupted)
+  and+ s_stuck_events = field int (fun s -> s.s_stuck_events)
+  and+ s_spikes = field int (fun s -> s.s_spikes)
+  and+ s_jittered_ticks = field int (fun s -> s.s_jittered_ticks)
+  and+ s_snapshots_corrupted = field int (fun s -> s.s_snapshots_corrupted) in
+  { s_rng; s_ckpt_rng; s_latched; s_writes_dropped; s_writes_corrupted; s_stuck_events;
+    s_spikes; s_jittered_ticks; s_snapshots_corrupted }
 
-let dec_counts d =
-  let c_l1i_accesses = Dec.int d in
-  let c_l1i_hits = Dec.int d in
-  let c_l1i_writebacks = Dec.int d in
-  let c_l1d_accesses = Dec.int d in
-  let c_l1d_hits = Dec.int d in
-  let c_l1d_writebacks = Dec.int d in
-  let c_l2_accesses = Dec.int d in
-  let c_l2_hits = Dec.int d in
-  let c_l2_writebacks = Dec.int d in
-  let c_tlb_accesses = Dec.int d in
-  let c_tlb_misses = Dec.int d in
-  let c_mem_reads = Dec.int d in
-  let c_mem_writebacks = Dec.int d in
-  {
-    Hierarchy.c_l1i_accesses;
-    c_l1i_hits;
-    c_l1i_writebacks;
-    c_l1d_accesses;
-    c_l1d_hits;
-    c_l1d_writebacks;
-    c_l2_accesses;
-    c_l2_hits;
-    c_l2_writebacks;
-    c_tlb_accesses;
-    c_tlb_misses;
-    c_mem_reads;
-    c_mem_writebacks;
-  }
+let cu =
+  let open Ace_core.Cu in
+  let+ s_current = field int (fun s -> s.s_current)
+  and+ s_last_reconfig_instr = field int (fun s -> s.s_last_reconfig_instr)
+  and+ s_applied = field int (fun s -> s.s_applied)
+  and+ s_denied = field int (fun s -> s.s_denied)
+  and+ s_invalid = field int (fun s -> s.s_invalid) in
+  { s_current; s_last_reconfig_instr; s_applied; s_denied; s_invalid }
 
-let enc_db_entry e (s : Db.entry_state) =
-  Enc.int e s.Db.s_invocations;
-  Enc.int e s.Db.s_samples;
-  Enc.u8 e (match s.Db.s_compile_state with Db.Baseline -> 0 | Db.Optimized -> 1);
-  Enc.bool e s.Db.s_is_hotspot;
-  Enc.int e s.Db.s_promoted_at_instr;
-  Enc.int e s.Db.s_pre_promotion_instrs;
-  enc_ema e s.Db.s_size_ema;
-  enc_running e s.Db.s_ipc_profile;
-  Enc.int e s.Db.s_entry_overhead;
-  Enc.int e s.Db.s_exit_overhead
+let acct =
+  let open Ace_power.Accounting in
+  let+ s_size = field int (fun s -> s.s_size)
+  and+ s_epoch_accesses = field int (fun s -> s.s_epoch_accesses)
+  and+ s_epoch_cycles = field float (fun s -> s.s_epoch_cycles)
+  and+ s_dynamic_nj = field float (fun s -> s.s_dynamic_nj)
+  and+ s_leakage_nj = field float (fun s -> s.s_leakage_nj)
+  and+ s_reconfig_nj = field float (fun s -> s.s_reconfig_nj)
+  and+ s_reconfigs = field int (fun s -> s.s_reconfigs)
+  and+ s_weighted_size_cycles = field float (fun s -> s.s_weighted_size_cycles)
+  and+ s_closed_cycles = field float (fun s -> s.s_closed_cycles) in
+  { s_size; s_epoch_accesses; s_epoch_cycles; s_dynamic_nj; s_leakage_nj; s_reconfig_nj;
+    s_reconfigs; s_weighted_size_cycles; s_closed_cycles }
 
-let dec_db_entry d =
-  let s_invocations = Dec.int d in
-  let s_samples = Dec.int d in
-  let s_compile_state =
-    match Dec.u8 d with
-    | 0 -> Db.Baseline
-    | 1 -> Db.Optimized
-    | n -> raise (Codec.Error (Printf.sprintf "bad compile_state tag %d" n))
+let tuner_measurement =
+  let open Tuner in
+  let+ ms_config = field (array int) (fun m -> m.ms_config)
+  and+ ms_energy = field float (fun m -> m.ms_energy)
+  and+ ms_ipc = field float (fun m -> m.ms_ipc) in
+  { ms_config; ms_energy; ms_ipc }
+
+let tuning =
+  let open Tuner in
+  let+ ts_next = field int (fun s -> s.ts_next)
+  and+ ts_pending = field bool (fun s -> s.ts_pending)
+  and+ ts_measurements = field (list tuner_measurement) (fun s -> s.ts_measurements)
+  and+ ts_acc_energy = field float (fun s -> s.ts_acc_energy)
+  and+ ts_acc_ipc = field float (fun s -> s.ts_acc_ipc)
+  and+ ts_acc_n = field int (fun s -> s.ts_acc_n)
+  and+ ts_acc_samples = field (list (pair float float)) (fun s -> s.ts_acc_samples)
+  and+ ts_warmup_left = field int (fun s -> s.ts_warmup_left)
+  and+ ts_attempts = field int (fun s -> s.ts_attempts)
+  and+ ts_backoff_left = field int (fun s -> s.ts_backoff_left)
+  and+ ts_degrade_flagged = field bool (fun s -> s.ts_degrade_flagged) in
+  { ts_next; ts_pending; ts_measurements; ts_acc_energy; ts_acc_ipc; ts_acc_n;
+    ts_acc_samples; ts_warmup_left; ts_attempts; ts_backoff_left; ts_degrade_flagged }
+
+let tuner_phase =
+  let open Tuner in
+  let s_tuning = case 0 tuning (fun ts -> S_tuning ts)
+  and s_configured =
+    case 1
+      (pair (array int) (pair float (triple int bool bool)))
+      (fun (cs_best, (cs_ref_ipc, (cs_exits, cs_sampling, cs_confirming))) ->
+        S_configured { cs_best; cs_ref_ipc; cs_exits; cs_sampling; cs_confirming })
+  and s_quarantined = case 2 (array int) (fun qs_best -> S_quarantined { qs_best }) in
+  variant "tuner phase"
+    [ Case s_tuning; Case s_configured; Case s_quarantined ]
+    (fun w -> function
+      | S_tuning ts -> write w s_tuning ts
+      | S_configured { cs_best; cs_ref_ipc; cs_exits; cs_sampling; cs_confirming } ->
+          write w s_configured
+            (cs_best, (cs_ref_ipc, (cs_exits, cs_sampling, cs_confirming)))
+      | S_quarantined { qs_best } -> write w s_quarantined qs_best)
+
+let tuner =
+  let open Tuner in
+  let+ s_phase = field tuner_phase (fun s -> s.s_phase)
+  and+ s_rounds = field int (fun s -> s.s_rounds)
+  and+ s_tested_last_round = field int (fun s -> s.s_tested_last_round)
+  and+ s_total_exits = field int (fun s -> s.s_total_exits)
+  and+ s_retune_exits = field (list int) (fun s -> s.s_retune_exits)
+  and+ s_retries = field int (fun s -> s.s_retries)
+  and+ s_backoff_skips = field int (fun s -> s.s_backoff_skips)
+  and+ s_skipped_configs = field int (fun s -> s.s_skipped_configs)
+  and+ s_verify_failures = field int (fun s -> s.s_verify_failures) in
+  { s_phase; s_rounds; s_tested_last_round; s_total_exits; s_retune_exits; s_retries;
+    s_backoff_skips; s_skipped_configs; s_verify_failures }
+
+let hotspot =
+  let open Framework in
+  let+ hs_tuner = field tuner (fun hs -> hs.hs_tuner)
+  and+ hs_managed = field (array int) (fun hs -> hs.hs_managed)
+  and+ hs_ever_configured = field bool (fun hs -> hs.hs_ever_configured)
+  and+ hs_last_invoked = field int (fun hs -> hs.hs_last_invoked) in
+  { hs_tuner; hs_managed; hs_ever_configured; hs_last_invoked }
+
+let framework =
+  let open Framework in
+  let+ s_states = field (array (option hotspot)) (fun s -> s.s_states)
+  and+ s_accts = field (array (option acct)) (fun s -> s.s_accts)
+  and+ s_cus = field (array cu) (fun s -> s.s_cus)
+  and+ s_class_depth = field (array int) (fun s -> s.s_class_depth)
+  and+ s_class_start = field (array int) (fun s -> s.s_class_start)
+  and+ s_covered = field (array int) (fun s -> s.s_covered)
+  and+ s_tunings = field (array int) (fun s -> s.s_tunings)
+  and+ s_reconfigs = field (array int) (fun s -> s.s_reconfigs)
+  and+ s_class_hotspots = field (array int) (fun s -> s.s_class_hotspots)
+  and+ s_tuned_hotspots = field (array int) (fun s -> s.s_tuned_hotspots)
+  and+ s_retunes = field (array int) (fun s -> s.s_retunes)
+  and+ s_predicted = field (array int) (fun s -> s.s_predicted)
+  and+ s_believed = field (array int) (fun s -> s.s_believed)
+  and+ s_mis_since = field (array int) (fun s -> s.s_mis_since)
+  and+ s_misconfig = field (array int) (fun s -> s.s_misconfig)
+  and+ s_verify_failures = field (array int) (fun s -> s.s_verify_failures)
+  and+ s_consec_badwrites = field (array int) (fun s -> s.s_consec_badwrites)
+  and+ s_failed = field (array bool) (fun s -> s.s_failed)
+  and+ s_probe_countdown = field (array int) (fun s -> s.s_probe_countdown)
+  and+ s_recoveries = field (array int) (fun s -> s.s_recoveries)
+  and+ s_quarantined = field int (fun s -> s.s_quarantined)
+  and+ s_frame_masks = field (list int) (fun s -> s.s_frame_masks)
+  and+ s_invoke_tick = field int (fun s -> s.s_invoke_tick)
+  and+ s_unmanaged = field int (fun s -> s.s_unmanaged)
+  and+ s_finalized = field bool (fun s -> s.s_finalized) in
+  { s_states; s_accts; s_cus; s_class_depth; s_class_start; s_covered; s_tunings;
+    s_reconfigs; s_class_hotspots; s_tuned_hotspots; s_retunes; s_predicted; s_believed;
+    s_mis_since; s_misconfig; s_verify_failures; s_consec_badwrites; s_failed;
+    s_probe_countdown; s_recoveries; s_quarantined; s_frame_masks; s_invoke_tick;
+    s_unmanaged; s_finalized }
+
+let bbv_measurement =
+  let open Bbv_scheme in
+  let+ ms_config = field (array int) (fun m -> m.ms_config)
+  and+ ms_energy = field float (fun m -> m.ms_energy)
+  and+ ms_ipc = field float (fun m -> m.ms_ipc) in
+  { ms_config; ms_energy; ms_ipc }
+
+let bbv_vector =
+  let open Ace_bbv.Vector in
+  let+ s_counters = field (array int) (fun s -> s.s_counters)
+  and+ s_total = field int (fun s -> s.s_total) in
+  { s_counters; s_total }
+
+let bbv_tracker =
+  let open Ace_bbv.Tracker in
+  let+ s_signatures = field (array (array float)) (fun s -> s.s_signatures)
+  and+ s_counts = field (array int) (fun s -> s.s_counts)
+  and+ s_n_intervals = field int (fun s -> s.s_n_intervals)
+  and+ s_n_stable = field int (fun s -> s.s_n_stable)
+  and+ s_cur_phase = field int (fun s -> s.s_cur_phase)
+  and+ s_cur_run = field int (fun s -> s.s_cur_run) in
+  { s_signatures; s_counts; s_n_intervals; s_n_stable; s_cur_phase; s_cur_run }
+
+let bbv_phase =
+  let open Bbv_scheme in
+  let+ ps_next = field int (fun ps -> ps.ps_next)
+  and+ ps_measurements = field (list bbv_measurement) (fun ps -> ps.ps_measurements)
+  and+ ps_best = field (option (array int)) (fun ps -> ps.ps_best)
+  and+ ps_ipc_stats = field running (fun ps -> ps.ps_ipc_stats) in
+  { ps_next; ps_measurements; ps_best; ps_ipc_stats }
+
+let bbv_predictor =
+  let open Ace_bbv.Next_phase in
+  let+ s_transitions =
+    field (array (pair int (array (pair int int)))) (fun p -> p.s_transitions)
+  and+ s_n_predictions = field int (fun p -> p.s_n_predictions)
+  and+ s_n_correct = field int (fun p -> p.s_n_correct) in
+  { s_transitions; s_n_predictions; s_n_correct }
+
+let bbv =
+  let open Bbv_scheme in
+  let+ s_vector = field bbv_vector (fun s -> s.s_vector)
+  and+ s_tracker = field bbv_tracker (fun s -> s.s_tracker)
+  and+ s_phases = field (array bbv_phase) (fun s -> s.s_phases)
+  and+ s_accts = field (array (option acct)) (fun s -> s.s_accts)
+  and+ s_cus = field (array cu) (fun s -> s.s_cus)
+  and+ s_pending =
+    field (option (triple int int (enum "pending stage" [ `Warm; `Measure ])))
+      (fun s -> s.s_pending)
+  and+ s_instrs0 = field int (fun s -> s.s_instrs0)
+  and+ s_cycles0 = field float (fun s -> s.s_cycles0)
+  and+ s_l1a0 = field int (fun s -> s.s_l1a0)
+  and+ s_l1m0 = field int (fun s -> s.s_l1m0)
+  and+ s_l2a0 = field int (fun s -> s.s_l2a0)
+  and+ s_l2m0 = field int (fun s -> s.s_l2m0)
+  and+ s_predictor = field bbv_predictor (fun s -> s.s_predictor)
+  and+ s_prev_phase = field int (fun s -> s.s_prev_phase)
+  and+ s_pending_prediction = field (option int) (fun s -> s.s_pending_prediction)
+  and+ s_n_tunings = field int (fun s -> s.s_n_tunings)
+  and+ s_reconfigs = field (array int) (fun s -> s.s_reconfigs)
+  and+ s_finalized = field bool (fun s -> s.s_finalized) in
+  { s_vector; s_tracker; s_phases; s_accts; s_cus; s_pending; s_instrs0; s_cycles0;
+    s_l1a0; s_l1m0; s_l2a0; s_l2m0; s_predictor; s_prev_phase; s_pending_prediction;
+    s_n_tunings; s_reconfigs; s_finalized }
+
+let sample_config =
+  let open Sample in
+  let+ warmup = field int (fun c -> c.warmup)
+  and+ repeats = field int (fun c -> c.repeats)
+  and+ cov_bound = field float (fun c -> c.cov_bound)
+  and+ recalibrate_every = field int (fun c -> c.recalibrate_every) in
+  { warmup; repeats; cov_bound; recalibrate_every }
+
+let meta =
+  let+ workload = field string (fun m -> m.workload)
+  and+ scheme = field (enum "scheme" [ Baseline; Hotspot; Bbv ]) (fun m -> m.scheme)
+  and+ scale = field float (fun m -> m.scale)
+  and+ seed = field int (fun m -> m.seed)
+  and+ hot_threshold = field int (fun m -> m.hot_threshold)
+  and+ with_issue_queue = field bool (fun m -> m.with_issue_queue)
+  and+ bbv_prediction = field bool (fun m -> m.bbv_prediction)
+  and+ resilient = field bool (fun m -> m.resilient)
+  and+ fault_rate = field (option float) (fun m -> m.fault_rate)
+  and+ checkpoint_every = field int (fun m -> m.checkpoint_every)
+  and+ sample = field (option sample_config) (fun m -> m.sample) in
+  { workload; scheme; scale; seed; hot_threshold; with_issue_queue; bbv_prediction;
+    resilient; fault_rate; checkpoint_every; sample }
+
+let obs_kind =
+  let open Obs in
+  let phase_enter = case 0 (pair int string) (fun (id, name) -> Phase_enter { id; name })
+  and phase_exit = case 1 (pair int float) (fun (id, ipc) -> Phase_exit { id; ipc })
+  and promoted =
+    case 2 (pair int string) (fun (id, name) -> Hotspot_promoted { id; name })
+  and recompile = case 3 int (fun id -> Recompile { id })
+  and trial_start = case 4 (pair int string) (fun (id, cfg) -> Trial_start { id; cfg })
+  and trial_result =
+    case 5
+      (pair (pair int string) (pair float float))
+      (fun ((id, cfg), (energy, ipc)) -> Trial_result { id; cfg; energy; ipc })
+  and burn_in = case 6 (pair int int) (fun (id, left) -> Burn_in { id; left })
+  and finished =
+    case 7 (triple int string int) (fun (id, best, tested) ->
+        Tuning_finished { id; best; tested })
+  and drift_sample =
+    case 8 (triple int float float) (fun (id, ipc, ref_ipc) ->
+        Drift_sample { id; ipc; ref_ipc })
+  and retune = case 9 (pair int float) (fun (id, drift) -> Retune { id; drift })
+  and quarantine = case 10 int (fun id -> Quarantine { id })
+  and cu_failed = case 11 string (fun cu -> Cu_failed { cu })
+  and cu_recovered = case 12 string (fun cu -> Cu_recovered { cu })
+  and reconfig =
+    case 13 (triple string string int) (fun (cu, label, flushed) ->
+        Reconfig { cu; label; flushed })
+  and fault = case 14 (pair string string) (fun (cu, what) -> Fault { cu; what })
+  and ckpt_capture = case 15 int (fun bytes -> Ckpt_capture { bytes })
+  and ckpt_restore = case 16 int (fun instrs -> Ckpt_restore { instrs })
+  and job_state = case 17 (pair int string) (fun (id, state) -> Job_state { id; state })
+  and io_fault = case 18 (pair string string) (fun (op, path) -> Io_fault { op; path })
+  and splice = case 19 (pair int int) (fun (id, instrs) -> Phase_splice { id; instrs })
   in
-  let s_is_hotspot = Dec.bool d in
-  let s_promoted_at_instr = Dec.int d in
-  let s_pre_promotion_instrs = Dec.int d in
-  let s_size_ema = dec_ema d in
-  let s_ipc_profile = dec_running d in
-  let s_entry_overhead = Dec.int d in
-  let s_exit_overhead = Dec.int d in
-  {
-    Db.s_invocations;
-    s_samples;
-    s_compile_state;
-    s_is_hotspot;
-    s_promoted_at_instr;
-    s_pre_promotion_instrs;
-    s_size_ema;
-    s_ipc_profile;
-    s_entry_overhead;
-    s_exit_overhead;
-  }
+  variant "obs event"
+    [
+      Case phase_enter; Case phase_exit; Case promoted; Case recompile; Case trial_start;
+      Case trial_result; Case burn_in; Case finished; Case drift_sample; Case retune;
+      Case quarantine; Case cu_failed; Case cu_recovered; Case reconfig; Case fault;
+      Case ckpt_capture; Case ckpt_restore; Case job_state; Case io_fault; Case splice;
+    ]
+    (fun w -> function
+      | Phase_enter { id; name } -> write w phase_enter (id, name)
+      | Phase_exit { id; ipc } -> write w phase_exit (id, ipc)
+      | Hotspot_promoted { id; name } -> write w promoted (id, name)
+      | Recompile { id } -> write w recompile id
+      | Trial_start { id; cfg } -> write w trial_start (id, cfg)
+      | Trial_result { id; cfg; energy; ipc } ->
+          write w trial_result ((id, cfg), (energy, ipc))
+      | Burn_in { id; left } -> write w burn_in (id, left)
+      | Tuning_finished { id; best; tested } -> write w finished (id, best, tested)
+      | Drift_sample { id; ipc; ref_ipc } -> write w drift_sample (id, ipc, ref_ipc)
+      | Retune { id; drift } -> write w retune (id, drift)
+      | Quarantine { id } -> write w quarantine id
+      | Cu_failed { cu } -> write w cu_failed cu
+      | Cu_recovered { cu } -> write w cu_recovered cu
+      | Reconfig { cu; label; flushed } -> write w reconfig (cu, label, flushed)
+      | Fault { cu; what } -> write w fault (cu, what)
+      | Ckpt_capture { bytes } -> write w ckpt_capture bytes
+      | Ckpt_restore { instrs } -> write w ckpt_restore instrs
+      | Job_state { id; state } -> write w job_state (id, state)
+      | Io_fault { op; path } -> write w io_fault (op, path)
+      | Phase_splice { id; instrs } -> write w splice (id, instrs))
 
-let enc_frame e (s : Engine.frame_state) =
-  Enc.int e s.Engine.fs_meth;
-  Enc.f64 e s.Engine.fs_quality;
-  Enc.bool e s.Engine.fs_was_hotspot;
-  Enc.int e s.Engine.fs_saved_meth;
-  Enc.int e s.Engine.fs_instrs0;
-  Enc.f64 e s.Engine.fs_cycles0;
-  Enc.int e s.Engine.fs_l1a0;
-  Enc.int e s.Engine.fs_l1m0;
-  Enc.int e s.Engine.fs_l2a0;
-  Enc.int e s.Engine.fs_l2m0;
-  Enc.int e s.Engine.fs_sample;
-  Enc.int e s.Engine.fs_pos;
-  Enc.int e s.Engine.fs_calls_left
+let obs_event =
+  let open Obs in
+  let+ ts = field int (fun ev -> ev.ts)
+  and+ kind = field obs_kind (fun ev -> ev.kind) in
+  { ts; kind }
 
-let dec_frame d =
-  let fs_meth = Dec.int d in
-  let fs_quality = Dec.f64 d in
-  let fs_was_hotspot = Dec.bool d in
-  let fs_saved_meth = Dec.int d in
-  let fs_instrs0 = Dec.int d in
-  let fs_cycles0 = Dec.f64 d in
-  let fs_l1a0 = Dec.int d in
-  let fs_l1m0 = Dec.int d in
-  let fs_l2a0 = Dec.int d in
-  let fs_l2m0 = Dec.int d in
-  let fs_sample = Dec.int d in
-  let fs_pos = Dec.int d in
-  let fs_calls_left = Dec.int d in
-  {
-    Engine.fs_meth;
-    fs_quality;
-    fs_was_hotspot;
-    fs_saved_meth;
-    fs_instrs0;
-    fs_cycles0;
-    fs_l1a0;
-    fs_l1m0;
-    fs_l2a0;
-    fs_l2m0;
-    fs_sample;
-    fs_pos;
-    fs_calls_left;
-  }
+let obs_hist =
+  let+ name = field string (fun (n, _, _, _, _) -> n)
+  and+ bounds = field (array float) (fun (_, b, _, _, _) -> b)
+  and+ counts = field (array int) (fun (_, _, c, _, _) -> c)
+  and+ total = field int (fun (_, _, _, t, _) -> t)
+  and+ sum = field float (fun (_, _, _, _, s) -> s) in
+  (name, bounds, counts, total, sum)
 
-let enc_ff_run e (s : Engine.ff_run_state) =
-  Enc.int e s.Engine.ffs_instrs;
-  Enc.f64 e s.Engine.ffs_cycles;
-  enc_counts e s.Engine.ffs_counts;
-  Enc.f64 e s.Engine.ffs_start_cycles
+let obs_metrics =
+  let open Obs in
+  let+ ms_counters = field (array (pair string int)) (fun m -> m.ms_counters)
+  and+ ms_gauges = field (array (pair string float)) (fun m -> m.ms_gauges)
+  and+ ms_hists = field (array obs_hist) (fun m -> m.ms_hists) in
+  { ms_counters; ms_gauges; ms_hists }
 
-let dec_ff_run d =
-  let ffs_instrs = Dec.int d in
-  let ffs_cycles = Dec.f64 d in
-  let ffs_counts = dec_counts d in
-  let ffs_start_cycles = Dec.f64 d in
-  { Engine.ffs_instrs; ffs_cycles; ffs_counts; ffs_start_cycles }
+let obs =
+  let open Obs in
+  let+ s_metrics = field obs_metrics (fun s -> s.s_metrics)
+  and+ s_events = field (array obs_event) (fun s -> s.s_events)
+  and+ s_dropped = field int (fun s -> s.s_dropped) in
+  { s_metrics; s_events; s_dropped }
 
-let enc_engine e (s : Engine.state) =
-  Enc.int e s.Engine.s_instrs;
-  Enc.f64 e s.Engine.s_cycles;
-  Enc.int e s.Engine.s_overhead_instrs;
-  Enc.int e s.Engine.s_hot_instrs;
-  Enc.f64 e s.Engine.s_next_sample_at;
-  Enc.int e s.Engine.s_next_interval_at;
-  Enc.int e s.Engine.s_current_meth;
-  Enc.int e s.Engine.s_hotspot_depth;
-  Enc.f64 e s.Engine.s_ilp_scale;
-  Enc.f64 e s.Engine.s_exposure_scale;
-  Enc.arr enc_frame e s.Engine.s_stack;
-  Enc.i64 e s.Engine.s_rng;
-  Enc.arr enc_cursor e s.Engine.s_cursors;
-  Enc.arr enc_db_entry e s.Engine.s_db;
-  enc_hier e s.Engine.s_hier;
-  Enc.opt enc_ff_run e s.Engine.s_ff
+let sample_key =
+  let open Sample in
+  let meth = case 0 int (fun m -> K_meth m)
+  and cluster = case 1 int (fun c -> K_cluster c) in
+  variant "sample key" [ Case meth; Case cluster ] (fun w -> function
+    | K_meth m -> write w meth m
+    | K_cluster c -> write w cluster c)
 
-let dec_engine d =
-  let s_instrs = Dec.int d in
-  let s_cycles = Dec.f64 d in
-  let s_overhead_instrs = Dec.int d in
-  let s_hot_instrs = Dec.int d in
-  let s_next_sample_at = Dec.f64 d in
-  let s_next_interval_at = Dec.int d in
-  let s_current_meth = Dec.int d in
-  let s_hotspot_depth = Dec.int d in
-  let s_ilp_scale = Dec.f64 d in
-  let s_exposure_scale = Dec.f64 d in
-  let s_stack = Dec.arr dec_frame d in
-  let s_rng = Dec.i64 d in
-  let s_cursors = Dec.arr dec_cursor d in
-  let s_db = Dec.arr dec_db_entry d in
-  let s_hier = dec_hier d in
-  let s_ff = Dec.opt dec_ff_run d in
-  {
-    Engine.s_instrs;
-    s_cycles;
-    s_overhead_instrs;
-    s_hot_instrs;
-    s_next_sample_at;
-    s_next_interval_at;
-    s_current_meth;
-    s_hotspot_depth;
-    s_ilp_scale;
-    s_exposure_scale;
-    s_stack;
-    s_rng;
-    s_cursors;
-    s_db;
-    s_hier;
-    s_ff;
-  }
+let hw_sig =
+  let open Sample in
+  let+ hs_l1d_bytes = field int (fun s -> s.hs_l1d_bytes)
+  and+ hs_l2_bytes = field int (fun s -> s.hs_l2_bytes)
+  and+ hs_ilp_bits = field int64 (fun s -> s.hs_ilp_bits)
+  and+ hs_exposure_bits = field int64 (fun s -> s.hs_exposure_bits) in
+  { hs_l1d_bytes; hs_l2_bytes; hs_ilp_bits; hs_exposure_bits }
 
-let enc_faults e (s : Faults.state) =
-  Enc.i64 e s.Faults.s_rng;
-  Enc.i64 e s.Faults.s_ckpt_rng;
-  Enc.arr
-    (fun e (l : Faults.latch_state) ->
-      Enc.str e l.Faults.ls_cu;
-      Enc.opt Enc.int e l.Faults.ls_until)
-    e s.Faults.s_latched;
-  Enc.int e s.Faults.s_writes_dropped;
-  Enc.int e s.Faults.s_writes_corrupted;
-  Enc.int e s.Faults.s_stuck_events;
-  Enc.int e s.Faults.s_spikes;
-  Enc.int e s.Faults.s_jittered_ticks;
-  Enc.int e s.Faults.s_snapshots_corrupted
+let phase_entry =
+  let open Sample in
+  let+ pe_key = field sample_key (fun pe -> pe.pe_key)
+  and+ pe_sig = field hw_sig (fun pe -> pe.pe_sig)
+  and+ pe_instrs = field int (fun pe -> pe.pe_instrs)
+  and+ pe_seen = field int (fun pe -> pe.pe_seen)
+  and+ pe_cpi_sum = field float (fun pe -> pe.pe_cpi_sum)
+  and+ pe_cpi_sumsq = field float (fun pe -> pe.pe_cpi_sumsq)
+  and+ pe_counts = field hier_counts (fun pe -> pe.pe_counts)
+  and+ pe_counts_instrs = field int (fun pe -> pe.pe_counts_instrs)
+  and+ pe_poisoned = field bool (fun pe -> pe.pe_poisoned)
+  and+ pe_since_measure = field int (fun pe -> pe.pe_since_measure) in
+  { pe_key; pe_sig; pe_instrs; pe_seen; pe_cpi_sum; pe_cpi_sumsq; pe_counts;
+    pe_counts_instrs; pe_poisoned; pe_since_measure }
 
-let dec_faults d =
-  let s_rng = Dec.i64 d in
-  let s_ckpt_rng = Dec.i64 d in
-  let s_latched =
-    Dec.arr
-      (fun d ->
-        let ls_cu = Dec.str d in
-        let ls_until = Dec.opt Dec.int d in
-        { Faults.ls_cu; ls_until })
-      d
-  in
-  let s_writes_dropped = Dec.int d in
-  let s_writes_corrupted = Dec.int d in
-  let s_stuck_events = Dec.int d in
-  let s_spikes = Dec.int d in
-  let s_jittered_ticks = Dec.int d in
-  let s_snapshots_corrupted = Dec.int d in
-  {
-    Faults.s_rng;
-    s_ckpt_rng;
-    s_latched;
-    s_writes_dropped;
-    s_writes_corrupted;
-    s_stuck_events;
-    s_spikes;
-    s_jittered_ticks;
-    s_snapshots_corrupted;
-  }
+let obs_frame =
+  let open Sample in
+  let+ os_meth = field int (fun os -> os.os_meth)
+  and+ os_key = field sample_key (fun os -> os.os_key)
+  and+ os_sig = field hw_sig (fun os -> os.os_sig)
+  and+ os_instrs0 = field int (fun os -> os.os_instrs0)
+  and+ os_cycles0 = field float (fun os -> os.os_cycles0)
+  and+ os_counts0 = field hier_counts (fun os -> os.os_counts0)
+  and+ os_resizes0 = field int (fun os -> os.os_resizes0)
+  and+ os_dirty = field bool (fun os -> os.os_dirty) in
+  { os_meth; os_key; os_sig; os_instrs0; os_cycles0; os_counts0; os_resizes0; os_dirty }
 
-let enc_cu e (s : Cu.state) =
-  Enc.int e s.Cu.s_current;
-  Enc.int e s.Cu.s_last_reconfig_instr;
-  Enc.int e s.Cu.s_applied;
-  Enc.int e s.Cu.s_denied;
-  Enc.int e s.Cu.s_invalid
+let sample_state =
+  let open Sample in
+  let+ s_entries = field (array phase_entry) (fun s -> s.s_entries)
+  and+ s_meth_instrs = field (array (pair int int)) (fun s -> s.s_meth_instrs)
+  and+ s_cluster_of_meth = field (array (pair int int)) (fun s -> s.s_cluster_of_meth)
+  and+ s_open = field (array obs_frame) (fun s -> s.s_open)
+  and+ s_fault_events0 = field int (fun s -> s.s_fault_events0)
+  and+ s_ff_instrs_active = field int (fun s -> s.s_ff_instrs_active)
+  and+ s_observations = field int (fun s -> s.s_observations)
+  and+ s_splices = field int (fun s -> s.s_splices)
+  and+ s_spliced_instrs = field int (fun s -> s.s_spliced_instrs)
+  and+ s_blocked_quiescence = field int (fun s -> s.s_blocked_quiescence)
+  and+ s_blocked_unsettled = field int (fun s -> s.s_blocked_unsettled)
+  and+ s_blocked_open_obs = field int (fun s -> s.s_blocked_open_obs)
+  and+ s_blocked_poisoned = field int (fun s -> s.s_blocked_poisoned) in
+  { s_entries; s_meth_instrs; s_cluster_of_meth; s_open; s_fault_events0;
+    s_ff_instrs_active; s_observations; s_splices; s_spliced_instrs;
+    s_blocked_quiescence; s_blocked_unsettled; s_blocked_open_obs; s_blocked_poisoned }
 
-let dec_cu d =
-  let s_current = Dec.int d in
-  let s_last_reconfig_instr = Dec.int d in
-  let s_applied = Dec.int d in
-  let s_denied = Dec.int d in
-  let s_invalid = Dec.int d in
-  { Cu.s_current; s_last_reconfig_instr; s_applied; s_denied; s_invalid }
+let scheme_state =
+  let s_baseline = case 0 unit (fun () -> S_baseline)
+  and s_hotspot = case 1 framework (fun fw -> S_hotspot fw)
+  and s_bbv = case 2 bbv (fun sch -> S_bbv sch) in
+  variant "scheme state"
+    [ Case s_baseline; Case s_hotspot; Case s_bbv ]
+    (fun w -> function
+      | S_baseline -> write w s_baseline ()
+      | S_hotspot fw -> write w s_hotspot fw
+      | S_bbv sch -> write w s_bbv sch)
 
-let enc_acct e (s : Accounting.state) =
-  Enc.int e s.Accounting.s_size;
-  Enc.int e s.Accounting.s_epoch_accesses;
-  Enc.f64 e s.Accounting.s_epoch_cycles;
-  Enc.f64 e s.Accounting.s_dynamic_nj;
-  Enc.f64 e s.Accounting.s_leakage_nj;
-  Enc.f64 e s.Accounting.s_reconfig_nj;
-  Enc.int e s.Accounting.s_reconfigs;
-  Enc.f64 e s.Accounting.s_weighted_size_cycles;
-  Enc.f64 e s.Accounting.s_closed_cycles
-
-let dec_acct d =
-  let s_size = Dec.int d in
-  let s_epoch_accesses = Dec.int d in
-  let s_epoch_cycles = Dec.f64 d in
-  let s_dynamic_nj = Dec.f64 d in
-  let s_leakage_nj = Dec.f64 d in
-  let s_reconfig_nj = Dec.f64 d in
-  let s_reconfigs = Dec.int d in
-  let s_weighted_size_cycles = Dec.f64 d in
-  let s_closed_cycles = Dec.f64 d in
-  {
-    Accounting.s_size;
-    s_epoch_accesses;
-    s_epoch_cycles;
-    s_dynamic_nj;
-    s_leakage_nj;
-    s_reconfig_nj;
-    s_reconfigs;
-    s_weighted_size_cycles;
-    s_closed_cycles;
-  }
-
-let enc_tuner_measurement e (m : Tuner.measurement_state) =
-  Enc.int_arr e m.Tuner.ms_config;
-  Enc.f64 e m.Tuner.ms_energy;
-  Enc.f64 e m.Tuner.ms_ipc
-
-let dec_tuner_measurement d =
-  let ms_config = Dec.int_arr d in
-  let ms_energy = Dec.f64 d in
-  let ms_ipc = Dec.f64 d in
-  { Tuner.ms_config; ms_energy; ms_ipc }
-
-let enc_sample e (energy, ipc) =
-  Enc.f64 e energy;
-  Enc.f64 e ipc
-
-let dec_sample d =
-  let energy = Dec.f64 d in
-  let ipc = Dec.f64 d in
-  (energy, ipc)
-
-let enc_tuner_phase e (p : Tuner.phase_state) =
-  match p with
-  | Tuner.S_tuning ts ->
-      Enc.u8 e 0;
-      Enc.int e ts.Tuner.ts_next;
-      Enc.bool e ts.Tuner.ts_pending;
-      Enc.list enc_tuner_measurement e ts.Tuner.ts_measurements;
-      Enc.f64 e ts.Tuner.ts_acc_energy;
-      Enc.f64 e ts.Tuner.ts_acc_ipc;
-      Enc.int e ts.Tuner.ts_acc_n;
-      Enc.list enc_sample e ts.Tuner.ts_acc_samples;
-      Enc.int e ts.Tuner.ts_warmup_left;
-      Enc.int e ts.Tuner.ts_attempts;
-      Enc.int e ts.Tuner.ts_backoff_left;
-      Enc.bool e ts.Tuner.ts_degrade_flagged
-  | Tuner.S_configured { cs_best; cs_ref_ipc; cs_exits; cs_sampling; cs_confirming }
-    ->
-      Enc.u8 e 1;
-      Enc.int_arr e cs_best;
-      Enc.f64 e cs_ref_ipc;
-      Enc.int e cs_exits;
-      Enc.bool e cs_sampling;
-      Enc.bool e cs_confirming
-  | Tuner.S_quarantined { qs_best } ->
-      Enc.u8 e 2;
-      Enc.int_arr e qs_best
-
-let dec_tuner_phase d =
-  match Dec.u8 d with
-  | 0 ->
-      let ts_next = Dec.int d in
-      let ts_pending = Dec.bool d in
-      let ts_measurements = Dec.list dec_tuner_measurement d in
-      let ts_acc_energy = Dec.f64 d in
-      let ts_acc_ipc = Dec.f64 d in
-      let ts_acc_n = Dec.int d in
-      let ts_acc_samples = Dec.list dec_sample d in
-      let ts_warmup_left = Dec.int d in
-      let ts_attempts = Dec.int d in
-      let ts_backoff_left = Dec.int d in
-      let ts_degrade_flagged = Dec.bool d in
-      Tuner.S_tuning
-        {
-          Tuner.ts_next;
-          ts_pending;
-          ts_measurements;
-          ts_acc_energy;
-          ts_acc_ipc;
-          ts_acc_n;
-          ts_acc_samples;
-          ts_warmup_left;
-          ts_attempts;
-          ts_backoff_left;
-          ts_degrade_flagged;
-        }
-  | 1 ->
-      let cs_best = Dec.int_arr d in
-      let cs_ref_ipc = Dec.f64 d in
-      let cs_exits = Dec.int d in
-      let cs_sampling = Dec.bool d in
-      let cs_confirming = Dec.bool d in
-      Tuner.S_configured { cs_best; cs_ref_ipc; cs_exits; cs_sampling; cs_confirming }
-  | 2 ->
-      let qs_best = Dec.int_arr d in
-      Tuner.S_quarantined { qs_best }
-  | n -> raise (Codec.Error (Printf.sprintf "bad tuner phase tag %d" n))
-
-let enc_tuner e (s : Tuner.state) =
-  enc_tuner_phase e s.Tuner.s_phase;
-  Enc.int e s.Tuner.s_rounds;
-  Enc.int e s.Tuner.s_tested_last_round;
-  Enc.int e s.Tuner.s_total_exits;
-  Enc.list Enc.int e s.Tuner.s_retune_exits;
-  Enc.int e s.Tuner.s_retries;
-  Enc.int e s.Tuner.s_backoff_skips;
-  Enc.int e s.Tuner.s_skipped_configs;
-  Enc.int e s.Tuner.s_verify_failures
-
-let dec_tuner d =
-  let s_phase = dec_tuner_phase d in
-  let s_rounds = Dec.int d in
-  let s_tested_last_round = Dec.int d in
-  let s_total_exits = Dec.int d in
-  let s_retune_exits = Dec.list Dec.int d in
-  let s_retries = Dec.int d in
-  let s_backoff_skips = Dec.int d in
-  let s_skipped_configs = Dec.int d in
-  let s_verify_failures = Dec.int d in
-  {
-    Tuner.s_phase;
-    s_rounds;
-    s_tested_last_round;
-    s_total_exits;
-    s_retune_exits;
-    s_retries;
-    s_backoff_skips;
-    s_skipped_configs;
-    s_verify_failures;
-  }
-
-let enc_framework e (s : Framework.state) =
-  Enc.arr
-    (Enc.opt (fun e (hs : Framework.hotspot_state_state) ->
-         enc_tuner e hs.Framework.hs_tuner;
-         Enc.int_arr e hs.Framework.hs_managed;
-         Enc.bool e hs.Framework.hs_ever_configured;
-         Enc.int e hs.Framework.hs_last_invoked))
-    e s.Framework.s_states;
-  Enc.arr (Enc.opt enc_acct) e s.Framework.s_accts;
-  Enc.arr enc_cu e s.Framework.s_cus;
-  Enc.int_arr e s.Framework.s_class_depth;
-  Enc.int_arr e s.Framework.s_class_start;
-  Enc.int_arr e s.Framework.s_covered;
-  Enc.int_arr e s.Framework.s_tunings;
-  Enc.int_arr e s.Framework.s_reconfigs;
-  Enc.int_arr e s.Framework.s_class_hotspots;
-  Enc.int_arr e s.Framework.s_tuned_hotspots;
-  Enc.int_arr e s.Framework.s_retunes;
-  Enc.int_arr e s.Framework.s_predicted;
-  Enc.int_arr e s.Framework.s_believed;
-  Enc.int_arr e s.Framework.s_mis_since;
-  Enc.int_arr e s.Framework.s_misconfig;
-  Enc.int_arr e s.Framework.s_verify_failures;
-  Enc.int_arr e s.Framework.s_consec_badwrites;
-  Enc.bool_arr e s.Framework.s_failed;
-  Enc.int_arr e s.Framework.s_probe_countdown;
-  Enc.int_arr e s.Framework.s_recoveries;
-  Enc.int e s.Framework.s_quarantined;
-  Enc.list Enc.int e s.Framework.s_frame_masks;
-  Enc.int e s.Framework.s_invoke_tick;
-  Enc.int e s.Framework.s_unmanaged;
-  Enc.bool e s.Framework.s_finalized
-
-let dec_framework d =
-  let s_states =
-    Dec.arr
-      (Dec.opt (fun d ->
-           let hs_tuner = dec_tuner d in
-           let hs_managed = Dec.int_arr d in
-           let hs_ever_configured = Dec.bool d in
-           let hs_last_invoked = Dec.int d in
-           { Framework.hs_tuner; hs_managed; hs_ever_configured; hs_last_invoked }))
-      d
-  in
-  let s_accts = Dec.arr (Dec.opt dec_acct) d in
-  let s_cus = Dec.arr dec_cu d in
-  let s_class_depth = Dec.int_arr d in
-  let s_class_start = Dec.int_arr d in
-  let s_covered = Dec.int_arr d in
-  let s_tunings = Dec.int_arr d in
-  let s_reconfigs = Dec.int_arr d in
-  let s_class_hotspots = Dec.int_arr d in
-  let s_tuned_hotspots = Dec.int_arr d in
-  let s_retunes = Dec.int_arr d in
-  let s_predicted = Dec.int_arr d in
-  let s_believed = Dec.int_arr d in
-  let s_mis_since = Dec.int_arr d in
-  let s_misconfig = Dec.int_arr d in
-  let s_verify_failures = Dec.int_arr d in
-  let s_consec_badwrites = Dec.int_arr d in
-  let s_failed = Dec.bool_arr d in
-  let s_probe_countdown = Dec.int_arr d in
-  let s_recoveries = Dec.int_arr d in
-  let s_quarantined = Dec.int d in
-  let s_frame_masks = Dec.list Dec.int d in
-  let s_invoke_tick = Dec.int d in
-  let s_unmanaged = Dec.int d in
-  let s_finalized = Dec.bool d in
-  {
-    Framework.s_states;
-    s_accts;
-    s_cus;
-    s_class_depth;
-    s_class_start;
-    s_covered;
-    s_tunings;
-    s_reconfigs;
-    s_class_hotspots;
-    s_tuned_hotspots;
-    s_retunes;
-    s_predicted;
-    s_believed;
-    s_mis_since;
-    s_misconfig;
-    s_verify_failures;
-    s_consec_badwrites;
-    s_failed;
-    s_probe_countdown;
-    s_recoveries;
-    s_quarantined;
-    s_frame_masks;
-    s_invoke_tick;
-    s_unmanaged;
-    s_finalized;
-  }
-
-let enc_bbv_measurement e (m : Bbv_scheme.measurement_state) =
-  Enc.int_arr e m.Bbv_scheme.ms_config;
-  Enc.f64 e m.Bbv_scheme.ms_energy;
-  Enc.f64 e m.Bbv_scheme.ms_ipc
-
-let dec_bbv_measurement d =
-  let ms_config = Dec.int_arr d in
-  let ms_energy = Dec.f64 d in
-  let ms_ipc = Dec.f64 d in
-  { Bbv_scheme.ms_config; ms_energy; ms_ipc }
-
-let enc_bbv e (s : Bbv_scheme.state) =
-  Enc.int_arr e s.Bbv_scheme.s_vector.Vector.s_counters;
-  Enc.int e s.Bbv_scheme.s_vector.Vector.s_total;
-  (let tr = s.Bbv_scheme.s_tracker in
-   Enc.arr Enc.f64_arr e tr.Tracker.s_signatures;
-   Enc.int_arr e tr.Tracker.s_counts;
-   Enc.int e tr.Tracker.s_n_intervals;
-   Enc.int e tr.Tracker.s_n_stable;
-   Enc.int e tr.Tracker.s_cur_phase;
-   Enc.int e tr.Tracker.s_cur_run);
-  Enc.arr
-    (fun e (ps : Bbv_scheme.phase_state_state) ->
-      Enc.int e ps.Bbv_scheme.ps_next;
-      Enc.list enc_bbv_measurement e ps.Bbv_scheme.ps_measurements;
-      Enc.opt Enc.int_arr e ps.Bbv_scheme.ps_best;
-      enc_running e ps.Bbv_scheme.ps_ipc_stats)
-    e s.Bbv_scheme.s_phases;
-  Enc.arr (Enc.opt enc_acct) e s.Bbv_scheme.s_accts;
-  Enc.arr enc_cu e s.Bbv_scheme.s_cus;
-  Enc.opt
-    (fun e (phase, idx, stage) ->
-      Enc.int e phase;
-      Enc.int e idx;
-      Enc.u8 e (match stage with `Warm -> 0 | `Measure -> 1))
-    e s.Bbv_scheme.s_pending;
-  Enc.int e s.Bbv_scheme.s_instrs0;
-  Enc.f64 e s.Bbv_scheme.s_cycles0;
-  Enc.int e s.Bbv_scheme.s_l1a0;
-  Enc.int e s.Bbv_scheme.s_l1m0;
-  Enc.int e s.Bbv_scheme.s_l2a0;
-  Enc.int e s.Bbv_scheme.s_l2m0;
-  (let p = s.Bbv_scheme.s_predictor in
-   Enc.arr
-     (fun e (prev, succs) ->
-       Enc.int e prev;
-       Enc.arr
-         (fun e (next, count) ->
-           Enc.int e next;
-           Enc.int e count)
-         e succs)
-     e p.Next_phase.s_transitions;
-   Enc.int e p.Next_phase.s_n_predictions;
-   Enc.int e p.Next_phase.s_n_correct);
-  Enc.int e s.Bbv_scheme.s_prev_phase;
-  Enc.opt Enc.int e s.Bbv_scheme.s_pending_prediction;
-  Enc.int e s.Bbv_scheme.s_n_tunings;
-  Enc.int_arr e s.Bbv_scheme.s_reconfigs;
-  Enc.bool e s.Bbv_scheme.s_finalized
-
-let dec_bbv d =
-  let s_counters = Dec.int_arr d in
-  let s_total = Dec.int d in
-  let s_vector = { Vector.s_counters; s_total } in
-  let s_signatures = Dec.arr Dec.f64_arr d in
-  let s_counts = Dec.int_arr d in
-  let s_n_intervals = Dec.int d in
-  let s_n_stable = Dec.int d in
-  let s_cur_phase = Dec.int d in
-  let s_cur_run = Dec.int d in
-  let s_tracker =
-    { Tracker.s_signatures; s_counts; s_n_intervals; s_n_stable; s_cur_phase; s_cur_run }
-  in
-  let s_phases =
-    Dec.arr
-      (fun d ->
-        let ps_next = Dec.int d in
-        let ps_measurements = Dec.list dec_bbv_measurement d in
-        let ps_best = Dec.opt Dec.int_arr d in
-        let ps_ipc_stats = dec_running d in
-        { Bbv_scheme.ps_next; ps_measurements; ps_best; ps_ipc_stats })
-      d
-  in
-  let s_accts = Dec.arr (Dec.opt dec_acct) d in
-  let s_cus = Dec.arr dec_cu d in
-  let s_pending =
-    Dec.opt
-      (fun d ->
-        let phase = Dec.int d in
-        let idx = Dec.int d in
-        let stage =
-          match Dec.u8 d with
-          | 0 -> `Warm
-          | 1 -> `Measure
-          | n -> raise (Codec.Error (Printf.sprintf "bad pending stage tag %d" n))
-        in
-        (phase, idx, stage))
-      d
-  in
-  let s_instrs0 = Dec.int d in
-  let s_cycles0 = Dec.f64 d in
-  let s_l1a0 = Dec.int d in
-  let s_l1m0 = Dec.int d in
-  let s_l2a0 = Dec.int d in
-  let s_l2m0 = Dec.int d in
-  let s_transitions =
-    Dec.arr
-      (fun d ->
-        let prev = Dec.int d in
-        let succs =
-          Dec.arr
-            (fun d ->
-              let next = Dec.int d in
-              let count = Dec.int d in
-              (next, count))
-            d
-        in
-        (prev, succs))
-      d
-  in
-  let s_n_predictions = Dec.int d in
-  let s_n_correct = Dec.int d in
-  let s_predictor = { Next_phase.s_transitions; s_n_predictions; s_n_correct } in
-  let s_prev_phase = Dec.int d in
-  let s_pending_prediction = Dec.opt Dec.int d in
-  let s_n_tunings = Dec.int d in
-  let s_reconfigs = Dec.int_arr d in
-  let s_finalized = Dec.bool d in
-  {
-    Bbv_scheme.s_vector;
-    s_tracker;
-    s_phases;
-    s_accts;
-    s_cus;
-    s_pending;
-    s_instrs0;
-    s_cycles0;
-    s_l1a0;
-    s_l1m0;
-    s_l2a0;
-    s_l2m0;
-    s_predictor;
-    s_prev_phase;
-    s_pending_prediction;
-    s_n_tunings;
-    s_reconfigs;
-    s_finalized;
-  }
-
-let enc_sample_config e (c : Sample.config) =
-  Enc.int e c.Sample.warmup;
-  Enc.int e c.Sample.repeats;
-  Enc.f64 e c.Sample.cov_bound;
-  Enc.int e c.Sample.recalibrate_every
-
-let dec_sample_config d =
-  let warmup = Dec.int d in
-  let repeats = Dec.int d in
-  let cov_bound = Dec.f64 d in
-  let recalibrate_every = Dec.int d in
-  { Sample.warmup; repeats; cov_bound; recalibrate_every }
-
-let enc_meta e m =
-  Enc.str e m.workload;
-  Enc.u8 e (match m.scheme with Baseline -> 0 | Hotspot -> 1 | Bbv -> 2);
-  Enc.f64 e m.scale;
-  Enc.int e m.seed;
-  Enc.int e m.hot_threshold;
-  Enc.bool e m.with_issue_queue;
-  Enc.bool e m.bbv_prediction;
-  Enc.bool e m.resilient;
-  Enc.opt Enc.f64 e m.fault_rate;
-  Enc.int e m.checkpoint_every;
-  Enc.opt enc_sample_config e m.sample
-
-let dec_meta d =
-  let workload = Dec.str d in
-  let scheme =
-    match Dec.u8 d with
-    | 0 -> Baseline
-    | 1 -> Hotspot
-    | 2 -> Bbv
-    | n -> raise (Codec.Error (Printf.sprintf "bad scheme tag %d" n))
-  in
-  let scale = Dec.f64 d in
-  let seed = Dec.int d in
-  let hot_threshold = Dec.int d in
-  let with_issue_queue = Dec.bool d in
-  let bbv_prediction = Dec.bool d in
-  let resilient = Dec.bool d in
-  let fault_rate = Dec.opt Dec.f64 d in
-  let checkpoint_every = Dec.int d in
-  let sample = Dec.opt dec_sample_config d in
-  {
-    workload;
-    scheme;
-    scale;
-    seed;
-    hot_threshold;
-    with_issue_queue;
-    bbv_prediction;
-    resilient;
-    fault_rate;
-    checkpoint_every;
-    sample;
-  }
-
-(* Observability sink state (format v2): metrics registry image, retained
-   ring events, drop count. *)
-
-let enc_event e (ev : Obs.event) =
-  Enc.int e ev.Obs.ts;
-  match ev.Obs.kind with
-  | Obs.Phase_enter { id; name } ->
-      Enc.u8 e 0;
-      Enc.int e id;
-      Enc.str e name
-  | Obs.Phase_exit { id; ipc } ->
-      Enc.u8 e 1;
-      Enc.int e id;
-      Enc.f64 e ipc
-  | Obs.Hotspot_promoted { id; name } ->
-      Enc.u8 e 2;
-      Enc.int e id;
-      Enc.str e name
-  | Obs.Recompile { id } ->
-      Enc.u8 e 3;
-      Enc.int e id
-  | Obs.Trial_start { id; cfg } ->
-      Enc.u8 e 4;
-      Enc.int e id;
-      Enc.str e cfg
-  | Obs.Trial_result { id; cfg; energy; ipc } ->
-      Enc.u8 e 5;
-      Enc.int e id;
-      Enc.str e cfg;
-      Enc.f64 e energy;
-      Enc.f64 e ipc
-  | Obs.Burn_in { id; left } ->
-      Enc.u8 e 6;
-      Enc.int e id;
-      Enc.int e left
-  | Obs.Tuning_finished { id; best; tested } ->
-      Enc.u8 e 7;
-      Enc.int e id;
-      Enc.str e best;
-      Enc.int e tested
-  | Obs.Drift_sample { id; ipc; ref_ipc } ->
-      Enc.u8 e 8;
-      Enc.int e id;
-      Enc.f64 e ipc;
-      Enc.f64 e ref_ipc
-  | Obs.Retune { id; drift } ->
-      Enc.u8 e 9;
-      Enc.int e id;
-      Enc.f64 e drift
-  | Obs.Quarantine { id } ->
-      Enc.u8 e 10;
-      Enc.int e id
-  | Obs.Cu_failed { cu } ->
-      Enc.u8 e 11;
-      Enc.str e cu
-  | Obs.Cu_recovered { cu } ->
-      Enc.u8 e 12;
-      Enc.str e cu
-  | Obs.Reconfig { cu; label; flushed } ->
-      Enc.u8 e 13;
-      Enc.str e cu;
-      Enc.str e label;
-      Enc.int e flushed
-  | Obs.Fault { cu; what } ->
-      Enc.u8 e 14;
-      Enc.str e cu;
-      Enc.str e what
-  | Obs.Ckpt_capture { bytes } ->
-      Enc.u8 e 15;
-      Enc.int e bytes
-  | Obs.Ckpt_restore { instrs } ->
-      Enc.u8 e 16;
-      Enc.int e instrs
-  | Obs.Job_state { id; state } ->
-      Enc.u8 e 17;
-      Enc.int e id;
-      Enc.str e state
-  | Obs.Io_fault { op; path } ->
-      Enc.u8 e 18;
-      Enc.str e op;
-      Enc.str e path
-  | Obs.Phase_splice { id; instrs } ->
-      Enc.u8 e 19;
-      Enc.int e id;
-      Enc.int e instrs
-
-let dec_event d : Obs.event =
-  let ts = Dec.int d in
-  let kind =
-    match Dec.u8 d with
-    | 0 ->
-        let id = Dec.int d in
-        Obs.Phase_enter { id; name = Dec.str d }
-    | 1 ->
-        let id = Dec.int d in
-        Obs.Phase_exit { id; ipc = Dec.f64 d }
-    | 2 ->
-        let id = Dec.int d in
-        Obs.Hotspot_promoted { id; name = Dec.str d }
-    | 3 -> Obs.Recompile { id = Dec.int d }
-    | 4 ->
-        let id = Dec.int d in
-        Obs.Trial_start { id; cfg = Dec.str d }
-    | 5 ->
-        let id = Dec.int d in
-        let cfg = Dec.str d in
-        let energy = Dec.f64 d in
-        Obs.Trial_result { id; cfg; energy; ipc = Dec.f64 d }
-    | 6 ->
-        let id = Dec.int d in
-        Obs.Burn_in { id; left = Dec.int d }
-    | 7 ->
-        let id = Dec.int d in
-        let best = Dec.str d in
-        Obs.Tuning_finished { id; best; tested = Dec.int d }
-    | 8 ->
-        let id = Dec.int d in
-        let ipc = Dec.f64 d in
-        Obs.Drift_sample { id; ipc; ref_ipc = Dec.f64 d }
-    | 9 ->
-        let id = Dec.int d in
-        Obs.Retune { id; drift = Dec.f64 d }
-    | 10 -> Obs.Quarantine { id = Dec.int d }
-    | 11 -> Obs.Cu_failed { cu = Dec.str d }
-    | 12 -> Obs.Cu_recovered { cu = Dec.str d }
-    | 13 ->
-        let cu = Dec.str d in
-        let label = Dec.str d in
-        Obs.Reconfig { cu; label; flushed = Dec.int d }
-    | 14 ->
-        let cu = Dec.str d in
-        Obs.Fault { cu; what = Dec.str d }
-    | 15 -> Obs.Ckpt_capture { bytes = Dec.int d }
-    | 16 -> Obs.Ckpt_restore { instrs = Dec.int d }
-    | 17 ->
-        let id = Dec.int d in
-        Obs.Job_state { id; state = Dec.str d }
-    | 18 ->
-        let op = Dec.str d in
-        Obs.Io_fault { op; path = Dec.str d }
-    | 19 ->
-        let id = Dec.int d in
-        Obs.Phase_splice { id; instrs = Dec.int d }
-    | n -> raise (Codec.Error (Printf.sprintf "bad obs event tag %d" n))
-  in
-  { Obs.ts; kind }
-
-let enc_obs e (s : Obs.state) =
-  Enc.arr
-    (fun e (name, v) ->
-      Enc.str e name;
-      Enc.int e v)
-    e s.Obs.s_metrics.Obs.ms_counters;
-  Enc.arr
-    (fun e (name, v) ->
-      Enc.str e name;
-      Enc.f64 e v)
-    e s.Obs.s_metrics.Obs.ms_gauges;
-  Enc.arr
-    (fun e (name, bounds, counts, total, sum) ->
-      Enc.str e name;
-      Enc.f64_arr e bounds;
-      Enc.int_arr e counts;
-      Enc.int e total;
-      Enc.f64 e sum)
-    e s.Obs.s_metrics.Obs.ms_hists;
-  Enc.arr enc_event e s.Obs.s_events;
-  Enc.int e s.Obs.s_dropped
-
-let dec_obs d : Obs.state =
-  let ms_counters =
-    Dec.arr
-      (fun d ->
-        let name = Dec.str d in
-        (name, Dec.int d))
-      d
-  in
-  let ms_gauges =
-    Dec.arr
-      (fun d ->
-        let name = Dec.str d in
-        (name, Dec.f64 d))
-      d
-  in
-  let ms_hists =
-    Dec.arr
-      (fun d ->
-        let name = Dec.str d in
-        let bounds = Dec.f64_arr d in
-        let counts = Dec.int_arr d in
-        let total = Dec.int d in
-        (name, bounds, counts, total, Dec.f64 d))
-      d
-  in
-  let s_events = Dec.arr dec_event d in
-  let s_dropped = Dec.int d in
-  { Obs.s_metrics = { Obs.ms_counters; ms_gauges; ms_hists }; s_events; s_dropped }
-
-(* Phase-statistics sampler image (format v4: keys may be behaviour
-   clusters, statistics are CPI-normalized, and the learned per-method
-   invocation lengths, header-to-cluster map and blocked-reason counters
-   ride along). *)
-
-let enc_key e (k : Sample.key) =
-  match k with
-  | Sample.K_meth m ->
-      Enc.u8 e 0;
-      Enc.int e m
-  | Sample.K_cluster c ->
-      Enc.u8 e 1;
-      Enc.int e c
-
-let dec_key d =
-  match Dec.u8 d with
-  | 0 -> Sample.K_meth (Dec.int d)
-  | 1 -> Sample.K_cluster (Dec.int d)
-  | n -> raise (Codec.Error (Printf.sprintf "bad sample key tag %d" n))
-
-let enc_int_pairs e a =
-  Enc.arr
-    (fun e (x, y) ->
-      Enc.int e x;
-      Enc.int e y)
-    e a
-
-let dec_int_pairs d =
-  Dec.arr
-    (fun d ->
-      let x = Dec.int d in
-      let y = Dec.int d in
-      (x, y))
-    d
-
-let enc_hw_sig e (s : Sample.hw_sig) =
-  Enc.int e s.Sample.hs_l1d_bytes;
-  Enc.int e s.Sample.hs_l2_bytes;
-  Enc.i64 e s.Sample.hs_ilp_bits;
-  Enc.i64 e s.Sample.hs_exposure_bits
-
-let dec_hw_sig d =
-  let hs_l1d_bytes = Dec.int d in
-  let hs_l2_bytes = Dec.int d in
-  let hs_ilp_bits = Dec.i64 d in
-  let hs_exposure_bits = Dec.i64 d in
-  { Sample.hs_l1d_bytes; hs_l2_bytes; hs_ilp_bits; hs_exposure_bits }
-
-let enc_sample_state e (s : Sample.state) =
-  Enc.arr
-    (fun e (pe : Sample.phase_entry_state) ->
-      enc_key e pe.Sample.pe_key;
-      enc_hw_sig e pe.Sample.pe_sig;
-      Enc.int e pe.Sample.pe_instrs;
-      Enc.int e pe.Sample.pe_seen;
-      Enc.f64 e pe.Sample.pe_cpi_sum;
-      Enc.f64 e pe.Sample.pe_cpi_sumsq;
-      enc_counts e pe.Sample.pe_counts;
-      Enc.int e pe.Sample.pe_counts_instrs;
-      Enc.bool e pe.Sample.pe_poisoned;
-      Enc.int e pe.Sample.pe_since_measure)
-    e s.Sample.s_entries;
-  enc_int_pairs e s.Sample.s_meth_instrs;
-  enc_int_pairs e s.Sample.s_cluster_of_meth;
-  Enc.arr
-    (fun e (os : Sample.obs_frame_state) ->
-      Enc.int e os.Sample.os_meth;
-      enc_key e os.Sample.os_key;
-      enc_hw_sig e os.Sample.os_sig;
-      Enc.int e os.Sample.os_instrs0;
-      Enc.f64 e os.Sample.os_cycles0;
-      enc_counts e os.Sample.os_counts0;
-      Enc.int e os.Sample.os_resizes0;
-      Enc.bool e os.Sample.os_dirty)
-    e s.Sample.s_open;
-  Enc.int e s.Sample.s_fault_events0;
-  Enc.int e s.Sample.s_ff_instrs_active;
-  Enc.int e s.Sample.s_observations;
-  Enc.int e s.Sample.s_splices;
-  Enc.int e s.Sample.s_spliced_instrs;
-  Enc.int e s.Sample.s_blocked_quiescence;
-  Enc.int e s.Sample.s_blocked_unsettled;
-  Enc.int e s.Sample.s_blocked_open_obs;
-  Enc.int e s.Sample.s_blocked_poisoned
-
-let dec_sample_state d =
-  let s_entries =
-    Dec.arr
-      (fun d ->
-        let pe_key = dec_key d in
-        let pe_sig = dec_hw_sig d in
-        let pe_instrs = Dec.int d in
-        let pe_seen = Dec.int d in
-        let pe_cpi_sum = Dec.f64 d in
-        let pe_cpi_sumsq = Dec.f64 d in
-        let pe_counts = dec_counts d in
-        let pe_counts_instrs = Dec.int d in
-        let pe_poisoned = Dec.bool d in
-        let pe_since_measure = Dec.int d in
-        {
-          Sample.pe_key;
-          pe_sig;
-          pe_instrs;
-          pe_seen;
-          pe_cpi_sum;
-          pe_cpi_sumsq;
-          pe_counts;
-          pe_counts_instrs;
-          pe_poisoned;
-          pe_since_measure;
-        })
-      d
-  in
-  let s_meth_instrs = dec_int_pairs d in
-  let s_cluster_of_meth = dec_int_pairs d in
-  let s_open =
-    Dec.arr
-      (fun d ->
-        let os_meth = Dec.int d in
-        let os_key = dec_key d in
-        let os_sig = dec_hw_sig d in
-        let os_instrs0 = Dec.int d in
-        let os_cycles0 = Dec.f64 d in
-        let os_counts0 = dec_counts d in
-        let os_resizes0 = Dec.int d in
-        let os_dirty = Dec.bool d in
-        {
-          Sample.os_meth;
-          os_key;
-          os_sig;
-          os_instrs0;
-          os_cycles0;
-          os_counts0;
-          os_resizes0;
-          os_dirty;
-        })
-      d
-  in
-  let s_fault_events0 = Dec.int d in
-  let s_ff_instrs_active = Dec.int d in
-  let s_observations = Dec.int d in
-  let s_splices = Dec.int d in
-  let s_spliced_instrs = Dec.int d in
-  let s_blocked_quiescence = Dec.int d in
-  let s_blocked_unsettled = Dec.int d in
-  let s_blocked_open_obs = Dec.int d in
-  let s_blocked_poisoned = Dec.int d in
-  {
-    Sample.s_entries;
-    s_meth_instrs;
-    s_cluster_of_meth;
-    s_open;
-    s_fault_events0;
-    s_ff_instrs_active;
-    s_observations;
-    s_splices;
-    s_spliced_instrs;
-    s_blocked_quiescence;
-    s_blocked_unsettled;
-    s_blocked_open_obs;
-    s_blocked_poisoned;
-  }
-
-let enc_snapshot e t =
-  enc_meta e t.meta;
-  enc_engine e t.engine;
-  Enc.opt enc_faults e t.faults;
-  (match t.scheme_state with
-  | S_baseline -> Enc.u8 e 0
-  | S_hotspot fw ->
-      Enc.u8 e 1;
-      enc_framework e fw
-  | S_bbv sch ->
-      Enc.u8 e 2;
-      enc_bbv e sch);
-  Enc.opt enc_obs e t.obs;
-  Enc.opt enc_sample_state e t.sample_state
-
-let dec_snapshot d =
-  let meta = dec_meta d in
-  let engine = dec_engine d in
-  let faults = Dec.opt dec_faults d in
-  let scheme_state =
-    match Dec.u8 d with
-    | 0 -> S_baseline
-    | 1 -> S_hotspot (dec_framework d)
-    | 2 -> S_bbv (dec_bbv d)
-    | n -> raise (Codec.Error (Printf.sprintf "bad scheme state tag %d" n))
-  in
-  let obs = Dec.opt dec_obs d in
-  let sample_state = Dec.opt dec_sample_state d in
-  if not (Dec.at_end d) then
-    raise (Codec.Error (Printf.sprintf "%d trailing bytes" (Dec.remaining d)));
+let snapshot =
+  let+ meta = field meta (fun t -> t.meta)
+  and+ engine = field engine (fun t -> t.engine)
+  and+ faults = field (option faults) (fun t -> t.faults)
+  and+ scheme_state = field scheme_state (fun t -> t.scheme_state)
+  and+ obs = field (option obs) (fun t -> t.obs)
+  and+ sample_state = field (option sample_state) (fun t -> t.sample_state) in
   { meta; engine; faults; scheme_state; obs; sample_state }
 
 (* {2 Container format}
@@ -1300,53 +620,45 @@ let dec_snapshot d =
 
 let magic = "ACESNAP1"
 let version = 4
-(* v3: sampling — meta config, engine ff state, sampler cache.
+(* v2: observability sink state.
+   v3: sampling — meta config, engine ff state, sampler cache.
    v4: cluster-keyed sampler cache — variant keys, CPI statistics,
    per-method instruction lengths, cluster map, blocked counters. *)
 let header_len = 8 + 2 + 8 + 8
 
 let encode t =
-  let e = Enc.create () in
-  enc_snapshot e t;
-  let payload = Enc.contents e in
-  let crc = Crc32.string payload in
-  let h = Buffer.create (header_len + String.length payload) in
+  let payload = to_string snapshot t in
+  let h = Buffer.create header_len in
   Buffer.add_string h magic;
   Buffer.add_uint16_le h version;
   Buffer.add_int64_le h (Int64.of_int (String.length payload));
-  Buffer.add_int64_le h (Int64.of_int crc);
-  Buffer.add_string h payload;
-  Buffer.contents h
+  Buffer.add_int64_le h (Int64.of_int (Crc32.string payload));
+  Buffer.contents h ^ payload
 
 let decode s =
-  if String.length s < header_len then
-    raise (Error (Truncated { expected = header_len; got = String.length s }));
-  if String.sub s 0 8 <> magic then raise (Error Bad_magic);
-  let v = Char.code s.[8] lor (Char.code s.[9] lsl 8) in
-  if v <> version then
-    raise (Error (Version_skew { found = v; expected = version }));
+  let fail e = raise (Error e) in
+  let len = String.length s in
+  if len < header_len then fail (Truncated { expected = header_len; got = len });
+  if String.sub s 0 8 <> magic then fail Bad_magic;
+  let v = String.get_uint16_le s 8 in
+  if v <> version then fail (Version_skew { found = v; expected = version });
   let payload_len = Int64.to_int (String.get_int64_le s 10) in
   if payload_len < 0 then
-    raise (Error (Malformed (Printf.sprintf "negative payload length %d" payload_len)));
+    fail (Malformed (Printf.sprintf "negative payload length %d" payload_len));
   (* Fewer bytes than declared is the torn-write signature; more bytes is a
      structurally impossible container. *)
-  if String.length s < header_len + payload_len then
-    raise
-      (Error
-         (Truncated { expected = header_len + payload_len; got = String.length s }));
-  if String.length s > header_len + payload_len then
-    raise
-      (Error
-         (Malformed
-            (Printf.sprintf "payload length %d does not match file size %d"
-               payload_len (String.length s))));
+  let expected = header_len + payload_len in
+  if len < expected then fail (Truncated { expected; got = len });
+  if len > expected then
+    fail
+      (Malformed
+         (Printf.sprintf "payload length %d does not match file size %d" payload_len
+            len));
   let crc_stored = Int64.to_int (String.get_int64_le s 18) in
   let payload = String.sub s header_len payload_len in
   let crc = Crc32.string payload in
-  if crc <> crc_stored then
-    raise (Error (Crc_mismatch { stored = crc_stored; computed = crc }));
-  try dec_snapshot (Dec.create payload)
-  with Codec.Error msg -> raise (Error (Malformed msg))
+  if crc <> crc_stored then fail (Crc_mismatch { stored = crc_stored; computed = crc });
+  try of_string snapshot payload with Codec.Error msg -> fail (Malformed msg)
 
 (* {2 File I/O} *)
 

@@ -550,14 +550,6 @@ let hotspot_settled t ~meth_id =
   | None -> true
   | Some st -> Tuner.is_configured st.tuner && not (Tuner.measuring st.tuner)
 
-let quiescent t =
-  Array.for_all
-    (function
-      | None -> true
-      | Some st ->
-          Tuner.is_configured st.tuner && not (Tuner.measuring st.tuner))
-    t.states
-
 let measuring_open t = t.measuring_open
 
 (* A mid-campaign tuner blocks splicing only while its hotspot is still
@@ -581,20 +573,6 @@ let unsettled_active t =
           ((not (Tuner.is_configured st.tuner)) || Tuner.measuring st.tuner)
           && tick - st.last_invoked <= activity_window)
     t.states
-
-(* Scoped quiescence: splicing [meth_id] is refused only while a
-   measurement the splice could affect is in flight or could be starved.
-   Execution is a single-threaded call tree, so any open measuring
-   invocation is an ancestor of the candidate's frame — the one place a
-   memoized (rather than simulated) cycle cost would be folded into a
-   live tuner measurement; [measuring_open = 0] rules that out.
-   [unsettled_active] additionally holds splicing while any *reachable*
-   tuner is still converging.  Unlike {!quiescent}, stranded tuners do
-   not block.  See DESIGN.md §Sampled simulation. *)
-let quiescent_for t ~meth_id =
-  t.measuring_open = 0
-  && hotspot_settled t ~meth_id
-  && not (unsettled_active t)
 
 let unmanaged_hotspots t = t.unmanaged
 

@@ -121,13 +121,6 @@ val hotspot_settled : t -> meth_id:int -> bool
     settled hotspots, so tuner trials and drift checks always run under
     full simulation. *)
 
-val quiescent : t -> bool
-(** True when every managed hotspot is settled ({!hotspot_settled}) — no
-    tuner anywhere is mid-campaign or mid-measurement.  This global
-    predicate almost never holds on many-hotspot workloads (some tuner is
-    always still sweeping); the sampler uses the scoped
-    {!quiescent_for} instead. *)
-
 val measuring_open : t -> int
 (** Number of invocations currently on the call stack whose exit
     measurement a tuner will consume (tuning trials and configured drift
@@ -144,16 +137,6 @@ val unsettled_active : t -> bool
     many-hotspot workloads.  If a splice does starve a reachable tuner,
     the next recalibration observation re-enters its hotspot and
     re-imposes the block until it settles. *)
-
-val quiescent_for : t -> meth_id:int -> bool
-(** Scoped quiescence: true when [meth_id] itself is settled
-    ({!hotspot_settled}), no measuring invocation is in flight
-    ([measuring_open = 0]) and no reachable tuner is still converging
-    ([not (unsettled_active t)]).  Because execution is a single-threaded
-    call tree, any open measuring invocation is an ancestor of the
-    candidate — the only situation where splicing would fold memoized
-    rather than simulated cycles into a live tuner measurement (see
-    DESIGN.md §Sampled simulation for the soundness argument). *)
 
 val unmanaged_hotspots : t -> int
 (** Hotspots too small for any CU class. *)

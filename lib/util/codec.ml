@@ -2,120 +2,176 @@ exception Error of string
 
 let fail fmt = Printf.ksprintf (fun s -> raise (Error s)) fmt
 
-module Enc = struct
-  type t = Buffer.t
+type reader = { s : string; mutable pos : int }
 
-  let create () = Buffer.create 4096
-  let contents = Buffer.contents
-  let u8 b n = Buffer.add_char b (Char.chr (n land 0xFF))
+(* A codec is a field of itself: [enc] reads the whole value. *)
+type ('r, 'a) field = { enc : Buffer.t -> 'r -> unit; dec : reader -> 'a }
+type 'a t = ('a, 'a) field
 
-  let i64 b (x : int64) =
-    for k = 0 to 7 do
-      Buffer.add_char b
-        (Char.chr (Int64.to_int (Int64.shift_right_logical x (8 * k)) land 0xFF))
-    done
+let to_string c v =
+  let b = Buffer.create 4096 in
+  c.enc b v;
+  Buffer.contents b
 
-  let int b n = i64 b (Int64.of_int n)
-  let f64 b x = i64 b (Int64.bits_of_float x)
-  let bool b x = u8 b (if x then 1 else 0)
+let of_string c s =
+  let r = { s; pos = 0 } in
+  let v = c.dec r in
+  let left = String.length s - r.pos in
+  if left <> 0 then fail "%d trailing bytes" left;
+  v
 
-  let str b s =
-    int b (String.length s);
-    Buffer.add_string b s
+let remaining r = String.length r.s - r.pos
 
-  let opt f b = function
-    | None -> u8 b 0
-    | Some x ->
-        u8 b 1;
-        f b x
+(* Claim the next [n] bytes, returning their offset. *)
+let take r n =
+  if remaining r < n then fail "truncated (%d bytes at %d)" n r.pos;
+  let p = r.pos in
+  r.pos <- p + n;
+  p
 
-  let arr f b xs =
-    int b (Array.length xs);
-    Array.iter (f b) xs
+(* The primitives write and read the buffer in place, so no int64 or float
+   is boxed on the way. *)
+let int64 =
+  { enc = Buffer.add_int64_le; dec = (fun r -> String.get_int64_le r.s (take r 8)) }
 
-  let list f b xs =
-    int b (List.length xs);
-    List.iter (f b) xs
+let int =
+  {
+    enc = (fun b n -> Buffer.add_int64_le b (Int64.of_int n));
+    dec = (fun r -> Int64.to_int (String.get_int64_le r.s (take r 8)));
+  }
 
-  let int_arr b xs = arr int b xs
-  let f64_arr b xs = arr f64 b xs
-  let bool_arr b xs = arr bool b xs
-end
+let float =
+  {
+    enc = (fun b x -> Buffer.add_int64_le b (Int64.bits_of_float x));
+    dec = (fun r -> Int64.float_of_bits (String.get_int64_le r.s (take r 8)));
+  }
 
-module Dec = struct
-  type t = { s : string; mutable pos : int }
+let read_tag r = String.get_uint8 r.s (take r 1)
 
-  let create s = { s; pos = 0 }
-  let remaining d = String.length d.s - d.pos
-  let at_end d = remaining d = 0
+(* Constant constructors are immediate, so physical equality finds them. *)
+let enum name values =
+  let values = Array.of_list values in
+  let rec index v i =
+    if i = Array.length values then invalid_arg ("Codec.enum " ^ name)
+    else if values.(i) == v then i
+    else index v (i + 1)
+  in
+  {
+    enc = (fun b v -> Buffer.add_uint8 b (index v 0));
+    dec =
+      (fun r ->
+        let n = read_tag r in
+        if n >= Array.length values then fail "bad %s tag %d" name n;
+        values.(n));
+  }
 
-  let u8 d =
-    if d.pos >= String.length d.s then fail "truncated (u8 at %d)" d.pos;
-    let c = Char.code d.s.[d.pos] in
-    d.pos <- d.pos + 1;
-    c
+let bool = enum "bool" [ false; true ]
+let unit = { enc = (fun _ () -> ()); dec = ignore }
 
-  let i64 d =
-    if remaining d < 8 then fail "truncated (i64 at %d)" d.pos;
-    let x = ref 0L in
-    for k = 7 downto 0 do
-      x := Int64.logor (Int64.shift_left !x 8)
-             (Int64.of_int (Char.code d.s.[d.pos + k]))
-    done;
-    d.pos <- d.pos + 8;
-    !x
+(* Every element costs at least one byte, so a declared length beyond the
+   remaining bytes is corruption, not data. *)
+let length r =
+  let n = int.dec r in
+  if n < 0 || n > remaining r then fail "bad length %d at %d" n r.pos;
+  n
 
-  let int d = Int64.to_int (i64 d)
-  let f64 d = Int64.float_of_bits (i64 d)
+let string =
+  {
+    enc =
+      (fun b s ->
+        int.enc b (String.length s);
+        Buffer.add_string b s);
+    dec =
+      (fun r ->
+        let n = length r in
+        String.sub r.s (take r n) n);
+  }
 
-  let bool d =
-    match u8 d with
-    | 0 -> false
-    | 1 -> true
-    | n -> fail "bad bool tag %d at %d" n d.pos
+(* Decoders consume input, so the combinators below sequence them with [let]
+   or an explicit loop: OCaml evaluates tuple and constructor arguments right
+   to left. *)
 
-  let str d =
-    let n = int d in
-    if n < 0 || n > remaining d then fail "bad string length %d at %d" n d.pos;
-    let s = String.sub d.s d.pos n in
-    d.pos <- d.pos + n;
-    s
+let array c =
+  {
+    enc =
+      (fun b xs ->
+        int.enc b (Array.length xs);
+        Array.iter (c.enc b) xs);
+    dec =
+      (fun r ->
+        let n = length r in
+        if n = 0 then [||]
+        else begin
+          let out = Array.make n (c.dec r) in
+          for i = 1 to n - 1 do
+            out.(i) <- c.dec r
+          done;
+          out
+        end);
+  }
 
-  let opt f d =
-    match u8 d with
-    | 0 -> None
-    | 1 -> Some (f d)
-    | n -> fail "bad option tag %d at %d" n d.pos
+let field c get = { enc = (fun b r -> c.enc b (get r)); dec = c.dec }
+let ( let+ ) f build = { enc = f.enc; dec = (fun r -> build (f.dec r)) }
 
-  (* Length sanity bound: every array element costs at least one byte, so a
-     declared length beyond the remaining bytes is corruption, not data. *)
-  let len d =
-    let n = int d in
-    if n < 0 || n > remaining d then fail "bad length %d at %d" n d.pos;
-    n
+let ( and+ ) fa fb =
+  {
+    enc =
+      (fun b r ->
+        fa.enc b r;
+        fb.enc b r);
+    dec =
+      (fun r ->
+        let x = fa.dec r in
+        let y = fb.dec r in
+        (x, y));
+  }
 
-  (* Explicit loops: the element decoder is effectful, so evaluation order
-     must be left-to-right regardless of Array.init/List.init semantics. *)
-  let arr f d =
-    let n = len d in
-    if n = 0 then [||]
-    else begin
-      let first = f d in
-      let out = Array.make n first in
-      for i = 1 to n - 1 do
-        out.(i) <- f d
-      done;
-      out
-    end
+let pair ca cb =
+  let+ x = field ca fst
+  and+ y = field cb snd in
+  (x, y)
 
-  let list f d =
-    let n = len d in
-    let acc = ref [] in
-    for _ = 1 to n do
-      acc := f d :: !acc
-    done;
-    List.rev !acc
-  let int_arr d = arr int d
-  let f64_arr d = arr f64 d
-  let bool_arr d = arr bool d
-end
+let triple ca cb cc =
+  let+ x = field ca (fun (x, _, _) -> x)
+  and+ y = field cb (fun (_, y, _) -> y)
+  and+ z = field cc (fun (_, _, z) -> z) in
+  (x, y, z)
+
+let conv proj inj c =
+  { enc = (fun b x -> c.enc b (proj x)); dec = (fun r -> inj (c.dec r)) }
+
+let list c = conv Array.of_list Array.to_list (array c)
+
+type ('a, 'b) case = { tag : int; payload : 'b t; inj : 'b -> 'a }
+type 'a any_case = Case : ('a, 'b) case -> 'a any_case
+type 'a writer = Buffer.t
+
+let case tag payload inj = { tag; payload; inj }
+
+let write b c x =
+  Buffer.add_uint8 b c.tag;
+  c.payload.enc b x
+
+let variant name cases select =
+  let by_tag = Array.make 256 None in
+  List.iter
+    (fun (Case c as any) ->
+      if c.tag < 0 || c.tag > 255 || Option.is_some by_tag.(c.tag) then
+        invalid_arg (Printf.sprintf "Codec.variant %s: tag %d" name c.tag);
+      by_tag.(c.tag) <- Some any)
+    cases;
+  {
+    enc = select;
+    dec =
+      (fun r ->
+        let n = read_tag r in
+        match by_tag.(n) with
+        | Some (Case c) -> c.inj (c.payload.dec r)
+        | None -> fail "bad %s tag %d" name n);
+  }
+
+let option c =
+  let none = case 0 unit (fun () -> None) and some = case 1 c Option.some in
+  variant "option" [ Case none; Case some ] (fun w -> function
+    | None -> write w none ()
+    | Some x -> write w some x)

@@ -25,9 +25,10 @@ type params = {
           hotspot threshold, never enough to finish a tuning campaign.
           Models real init code whose stranded mid-campaign tuner pins any
           {e global} quiescence predicate false for the rest of the run;
-          under the scoped {!Ace_core.Framework.quiescent_for} the
-          stranded tuner ages out of {!Ace_core.Framework.unsettled_active}
-          and stops blocking.  0 (the default) emits no setup methods. *)
+          the sampler's scoped guard ({!Ace_core.Framework.measuring_open}
+          and {!Ace_core.Framework.unsettled_active}) lets the stranded
+          tuner age out and stop blocking.  0 (the default) emits no setup
+          methods. *)
 }
 
 val default : params

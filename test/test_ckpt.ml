@@ -154,6 +154,117 @@ let test_golden_snapshot () =
   expect_error ~what:"bumped-version golden" (patch data 8 (fun c -> c + 1));
   expect_error ~what:"corrupted golden" (patch data 60 (fun c -> c lxor 0x20))
 
+let read_fixture name =
+  let ic = open_in_bin name in
+  let data = really_input_string ic (in_channel_length ic) in
+  close_in ic;
+  data
+
+(* golden.snap pins the engine, framework and obs sections; golden_bbv.snap
+   adds the fault-injector, BBV and sampler sections. *)
+let fixtures = [ "golden.snap"; "golden_bbv.snap" ]
+
+(* The committed bytes must decode and re-encode unchanged: a layout change
+   that shifts any later byte (a field added, dropped, or moved across one of
+   another width) fails here, although round trips through freshly encoded
+   states pass it. *)
+let test_fixtures_reencode () =
+  let bbv = Snapshot.decode (read_fixture "golden_bbv.snap") in
+  Alcotest.(check bool) "bbv scheme" true
+    (bbv.Snapshot.meta.Snapshot.scheme = Snapshot.Bbv);
+  Alcotest.(check bool) "fault state" true (bbv.Snapshot.faults <> None);
+  Alcotest.(check bool) "sampler state" true (bbv.Snapshot.sample_state <> None);
+  Alcotest.(check bool) "obs state" true (bbv.Snapshot.obs <> None);
+  List.iter
+    (fun name ->
+      let data = read_fixture name in
+      if Snapshot.encode (Snapshot.decode data) <> data then
+        Alcotest.failf "%s does not re-encode to its own bytes" name)
+    fixtures
+
+(* Re-encoding a decoded fixture cannot see two same-typed fields swapped in
+   a codec: the swap applies to both directions.  Encoding fresh state can.
+   These runs repeat test/gen_golden's settings, so they must reproduce the
+   committed bytes; regenerate the fixtures if the simulation itself
+   changes. *)
+let first_snapshot ?resilient ?fault_rate ?sample scheme =
+  let path = tmp_path () in
+  let first = ref None in
+  ignore
+    (Run.run_checkpointed ~scale:0.2 ~seed:3 ?resilient ?fault_rate ?sample
+       ~obs:(Ace_obs.Obs.create Ace_obs.Obs.Full)
+       ~on_snapshot:(fun s -> if !first = None then first := Some s)
+       ~kill_after:2_000_001 ~checkpoint_every:2_000_000 ~path (compress ()) scheme);
+  cleanup path;
+  Option.get !first
+
+let test_fresh_runs_encode_to_fixtures () =
+  let check name snap =
+    if Snapshot.encode snap <> read_fixture name then
+      Alcotest.failf "a fresh run no longer encodes to %s" name
+  in
+  check "golden.snap" (first_snapshot Scheme.Hotspot);
+  check "golden_bbv.snap"
+    (first_snapshot ~resilient:true ~fault_rate:0.01
+       ~sample:Ace_sample.Sample.default_config Scheme.Bbv)
+
+(* Hostile payloads: damage the payload, then rebuild the header's length
+   and CRC so the damage reaches the payload decoder instead of being caught
+   by the container checks. *)
+let header_len = 26
+
+let reseal data payload =
+  let b = Buffer.create (header_len + String.length payload) in
+  Buffer.add_string b (String.sub data 0 10);
+  Buffer.add_int64_le b (Int64.of_int (String.length payload));
+  Buffer.add_int64_le b (Int64.of_int (Ace_util.Crc32.string payload));
+  Buffer.add_string b payload;
+  Buffer.contents b
+
+type mutation = Flip of int list | Truncate of int
+
+let mutate payload = function
+  | Truncate len -> String.sub payload 0 (len mod String.length payload)
+  | Flip bits ->
+      let b = Bytes.of_string payload in
+      List.iter
+        (fun bit ->
+          let bit = bit mod (8 * Bytes.length b) in
+          let pos = bit / 8 in
+          Bytes.set b pos
+            (Char.chr (Char.code (Bytes.get b pos) lxor (1 lsl (bit mod 8)))))
+        bits;
+      Bytes.to_string b
+
+let fixture_data = lazy (List.map read_fixture fixtures)
+
+let prop_hostile_payload =
+  let gen =
+    (* Offsets are drawn uniformly and reduced modulo the payload size. *)
+    let pos = QCheck.Gen.int_bound (1 lsl 29) in
+    QCheck.Gen.(
+      pair (int_bound (List.length fixtures - 1))
+        (frequency
+           [
+             (3, map (fun l -> Flip l) (list_size (int_range 1 3) pos));
+             (1, map (fun n -> Truncate n) pos);
+           ]))
+  in
+  let print (i, m) =
+    Printf.sprintf "%s: %s" (List.nth fixtures i)
+      (match m with
+      | Truncate n -> Printf.sprintf "truncate %d" n
+      | Flip l -> "flip bits " ^ String.concat "," (List.map string_of_int l))
+  in
+  QCheck.Test.make ~name:"hostile payload: a snapshot or a typed error" ~count:1000
+    (QCheck.make ~print gen)
+    (fun (i, m) ->
+      let data = List.nth (Lazy.force fixture_data) i in
+      let payload = String.sub data header_len (String.length data - header_len) in
+      match Snapshot.decode (reseal data (mutate payload m)) with
+      | _ -> true
+      | exception Snapshot.Error _ -> true)
+
 let test_write_rotates_and_falls_back () =
   let path = tmp_path () in
   let snaps, _ = sample_snapshots () in
@@ -279,4 +390,8 @@ let suite =
     Tu.slow_case "determinism oracle: bbv" test_oracle_bbv;
     Tu.slow_case "determinism oracle: hotspot+faults" test_oracle_hotspot_faulty;
     Tu.slow_case "chaos soak survives 20 kill/resume cycles" test_chaos_soak;
+    Tu.case "fixtures re-encode to their exact bytes" test_fixtures_reencode;
+    Tu.qcheck prop_hostile_payload;
+    Tu.case "fresh runs encode to the fixtures' bytes"
+      test_fresh_runs_encode_to_fixtures;
   ]
