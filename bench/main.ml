@@ -69,8 +69,10 @@ let bench_hw_request_faulty =
     (Ace_faults.Faults.create (Ace_faults.Faults.preset ~rate:0.01))
     "micro: Hw.request (1% faults)"
 
-(* Snapshot serialize/deserialize: the per-checkpoint cost a run pays at
-   every cadence boundary, measured on a real mid-run hotspot snapshot. *)
+(* Snapshot write/read: the per-checkpoint cost a run pays at every cadence
+   boundary, measured on a real mid-run hotspot state.  Writing captures a
+   live run restored from the sample and encodes the container; reading
+   decodes the container and restores its body into a freshly built run. *)
 let checkpoint_sample =
   lazy
     (let path = Filename.temp_file "ace_bench" ".snap" in
@@ -89,16 +91,21 @@ let checkpoint_sample =
        [ path; path ^ ".1" ];
      Option.get !snap)
 
+let checkpoint_live = lazy (Ace_harness.Run.restore (Lazy.force checkpoint_sample))
+
+let snapshot_write () =
+  Ace_ckpt.Snapshot.encode (Ace_harness.Run.capture (Lazy.force checkpoint_live))
+
+let snapshot_read data = Ace_harness.Run.restore (Ace_ckpt.Snapshot.decode data)
+
 let bench_snapshot_encode =
-  Test.make ~name:"micro: snapshot encode"
-    (Staged.stage @@ fun () ->
-    ignore (Ace_ckpt.Snapshot.encode (Lazy.force checkpoint_sample)))
+  Test.make ~name:"micro: snapshot capture + encode"
+    (Staged.stage @@ fun () -> ignore (snapshot_write ()))
 
 let bench_snapshot_decode =
   let data = lazy (Ace_ckpt.Snapshot.encode (Lazy.force checkpoint_sample)) in
-  Test.make ~name:"micro: snapshot decode"
-    (Staged.stage @@ fun () ->
-    ignore (Ace_ckpt.Snapshot.decode (Lazy.force data)))
+  Test.make ~name:"micro: snapshot decode + restore"
+    (Staged.stage @@ fun () -> ignore (snapshot_read (Lazy.force data)))
 
 (* Serve wire codec: what one daemon request costs to encode + decode —
    the per-submission protocol tax, paid once per job, off the simulation
@@ -276,11 +283,11 @@ let core_json path =
   done;
   let t1 = Unix.gettimeofday () in
   let serve_codec_ns = (t1 -. t0) *. 1e9 /. float_of_int codec_iters in
-  (* Snapshot codec: the per-checkpoint serialization tax every durable
-     run pays at each cadence boundary.  Gated in CI so the Io
-     indirection (PR "storage-fault injection") stays off this path. *)
-  let snap = Lazy.force checkpoint_sample in
-  let snap_data = Ace_ckpt.Snapshot.encode snap in
+  (* Snapshot write and read: the per-checkpoint serialization tax every
+     durable run pays at each cadence boundary (capture of a live mid-run
+     state plus the container), and what a resume pays (decode plus restore
+     into a freshly built run).  Gated in CI at 2x the committed figures. *)
+  let snap_data = Ace_ckpt.Snapshot.encode (Lazy.force checkpoint_sample) in
   let snap_iters = 500 in
   let time_loop iters f =
     for _ = 1 to 20 do
@@ -292,11 +299,9 @@ let core_json path =
     done;
     (Unix.gettimeofday () -. t0) *. 1e9 /. float_of_int iters
   in
-  let snapshot_encode_ns =
-    time_loop snap_iters (fun () -> ignore (Ace_ckpt.Snapshot.encode snap))
-  in
+  let snapshot_encode_ns = time_loop snap_iters (fun () -> ignore (snapshot_write ())) in
   let snapshot_decode_ns =
-    time_loop snap_iters (fun () -> ignore (Ace_ckpt.Snapshot.decode snap_data))
+    time_loop snap_iters (fun () -> ignore (snapshot_read snap_data))
   in
   (* The passthrough Io backend is a record of closures built once at
      module init: a call through it must allocate nothing beyond the

@@ -212,8 +212,9 @@ let run_cmd =
       & info [ "resume" ] ~docv:"FILE"
           ~doc:
             "Resume from the snapshot at $(docv) instead of starting fresh \
-             (falls back to $(docv).1 if the newest snapshot is corrupted); \
-             the benchmark and scheme come from the snapshot's metadata.")
+             (falls back to $(docv).1 if the newest snapshot is corrupted \
+             or does not restore); the benchmark and scheme come from the \
+             snapshot's metadata.")
   in
   let kill_after =
     Arg.(
@@ -299,7 +300,7 @@ let run_cmd =
         | Some (outcome, which) ->
             if which = `Fallback then
               Printf.eprintf
-                "ace_sim: newest snapshot unreadable, resumed from %s.1\n" path;
+                "ace_sim: newest snapshot unusable, resumed from %s.1\n" path;
             finish_outcome outcome)
     | None -> (
         let workload =
@@ -320,17 +321,10 @@ let run_cmd =
             let faults =
               Option.map (fun rate -> Ace_faults.Faults.preset ~rate) fault_rate
             in
-            let framework_config =
-              if resilient then
-                {
-                  Ace_core.Framework.default_config with
-                  resilience = Ace_core.Tuner.default_resilience;
-                }
-              else Ace_core.Framework.default_config
-            in
             let r =
-              Ace_harness.Run.run ~scale ~seed ~framework_config ?faults
-                ?sample ~obs workload scheme
+              Ace_harness.Run.run ~scale ~seed
+                ~framework_config:(Ace_core.Framework.config_for ~resilient)
+                ?faults ?sample ~obs workload scheme
             in
             write_exports ~trace ~metrics obs;
             print_summary r;

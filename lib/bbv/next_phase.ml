@@ -63,36 +63,23 @@ let accuracy t =
   if t.n_predictions = 0 then 0.0
   else float_of_int t.n_correct /. float_of_int t.n_predictions
 
-(* Transition rows sorted by phase id (and successors by id within a row):
-   hashtable iteration order is an artifact, and checkpoint bytes must be a
-   pure function of the tracker's logical state. *)
-type state = {
-  s_transitions : (int * (int * int) array) array;
-  s_n_predictions : int;
-  s_n_correct : int;
-}
+(* Successors sorted by phase id: hashtable iteration order is an
+   artifact, and checkpoint bytes must be a pure function of the
+   predictor's logical state. *)
+let row_codec =
+  let open Ace_util.Codec in
+  pair int
+    (conv
+       (fun tbl ->
+         List.sort compare (Hashtbl.fold (fun next r acc -> (next, !r) :: acc) tbl []))
+       (fun succs ->
+         let tbl = Hashtbl.create (max 8 (List.length succs)) in
+         List.iter (fun (next, count) -> Hashtbl.add tbl next (ref count)) succs;
+         tbl)
+       (list (pair int int)))
 
-let capture t =
-  let rows =
-    Hashtbl.fold
-      (fun prev tbl acc ->
-        let succs =
-          Hashtbl.fold (fun next r acc -> (next, !r) :: acc) tbl []
-          |> List.sort compare |> Array.of_list
-        in
-        (prev, succs) :: acc)
-      t.transitions []
-    |> List.sort compare |> Array.of_list
-  in
-  { s_transitions = rows; s_n_predictions = t.n_predictions; s_n_correct = t.n_correct }
-
-let restore t s =
-  Hashtbl.reset t.transitions;
-  Array.iter
-    (fun (prev, succs) ->
-      let tbl = Hashtbl.create (max 8 (Array.length succs)) in
-      Array.iter (fun (next, count) -> Hashtbl.add tbl next (ref count)) succs;
-      Hashtbl.add t.transitions prev tbl)
-    s.s_transitions;
-  t.n_predictions <- s.s_n_predictions;
-  t.n_correct <- s.s_n_correct
+let sync io t =
+  let open Ace_util.Codec in
+  sync_hashtbl io row_codec t.transitions;
+  t.n_predictions <- sync io int t.n_predictions;
+  t.n_correct <- sync io int t.n_correct

@@ -39,14 +39,7 @@ val correct : t -> int
 val accuracy : t -> float
 (** [correct / predictions]; 0 when none were issued. *)
 
-(** Transition counts (rows and successors sorted by phase id, so the
-    representation is deterministic) plus accuracy counters, for checkpoint
-    serialization. *)
-type state = {
-  s_transitions : (int * (int * int) array) array;
-  s_n_predictions : int;
-  s_n_correct : int;
-}
-
-val capture : t -> state
-val restore : t -> state -> unit
+val sync : Ace_util.Codec.io -> t -> unit
+(** Transition counts (rows and successors sorted by phase id, so equal
+    predictors write equal bytes) plus accuracy counters, for
+    checkpoints. *)

@@ -22,11 +22,9 @@ let default_config =
     next_phase_prediction = false;
   }
 
-type measurement = { config : int array; energy : float; ipc : float }
-
 type phase_state = {
   mutable next : int;
-  mutable measurements : measurement list;
+  mutable measurements : Ace_core.Tuner.measurement list;
   mutable best : int array option;
   ipc_stats : Ace_util.Stats.Running.t;
 }
@@ -158,18 +156,6 @@ let apply_config t config ~count_reconfigs =
     config;
   (!ok, !needs_warm)
 
-let select t measurements =
-  let best_ipc =
-    List.fold_left (fun acc m -> Float.max acc m.ipc) 0.0 measurements
-  in
-  let floor_ipc = best_ipc *. (1.0 -. t.cfg.performance_threshold) in
-  let eligible = List.filter (fun m -> m.ipc >= floor_ipc) measurements in
-  let pool = match eligible with [] -> measurements | _ :: _ -> eligible in
-  match pool with
-  | [] -> assert false
-  | m0 :: rest ->
-      List.fold_left (fun acc m -> if m.energy < acc.energy then m else acc) m0 rest
-
 let max_config t = Array.make (Array.length t.cus) 0
 
 let on_interval t =
@@ -205,11 +191,20 @@ let on_interval t =
     | Some (p, idx, `Measure) when p = phase ->
         let config = t.configs.(idx) in
         st.measurements <-
-          { config; energy = energy_proxy t profile config; ipc = Profile.ipc profile }
+          {
+            Ace_core.Tuner.config;
+            energy = energy_proxy t profile config;
+            ipc = Profile.ipc profile;
+          }
           :: st.measurements;
         st.next <- idx + 1;
         if st.next >= Array.length t.configs then
-          st.best <- Some (select t st.measurements).config
+          st.best <-
+            Some
+              (Ace_core.Tuner.select
+                 ~performance_threshold:t.cfg.performance_threshold
+                 st.measurements)
+                .Ace_core.Tuner.config
     | Some _ | None -> ());
     t.pending <- None;
     (* Choose the next interval's configuration.  With next-phase prediction
@@ -393,112 +388,49 @@ let predictor_stats t =
         Next_phase.accuracy t.predictor )
   else None
 
-(* {2 Checkpoint capture / restore} *)
+(* {2 Checkpoints} *)
 
-type measurement_state = { ms_config : int array; ms_energy : float; ms_ipc : float }
+let pending_codec =
+  Ace_util.Codec.(option (triple int int (enum "pending stage" [ `Warm; `Measure ])))
 
-type phase_state_state = {
-  ps_next : int;
-  ps_measurements : measurement_state list;
-  ps_best : int array option;
-  ps_ipc_stats : Ace_util.Stats.Running.state;
-}
+let measurements_codec = Ace_util.Codec.list Ace_core.Tuner.measurement_codec
+let best_codec = Ace_util.Codec.(option (array int))
 
-type state = {
-  s_vector : Vector.state;
-  s_tracker : Tracker.state;
-  s_phases : phase_state_state array;  (* live phases only *)
-  s_accts : Accounting.state option array;
-  s_cus : Cu.state array;
-  s_pending : (int * int * [ `Warm | `Measure ]) option;
-  s_instrs0 : int;
-  s_cycles0 : float;
-  s_l1a0 : int;
-  s_l1m0 : int;
-  s_l2a0 : int;
-  s_l2m0 : int;
-  s_predictor : Next_phase.state;
-  s_prev_phase : int;
-  s_pending_prediction : int option;
-  s_n_tunings : int;
-  s_reconfigs : int array;
-  s_finalized : bool;
-}
+let sync_phase io ps =
+  let open Ace_util.Codec in
+  ps.next <- sync io int ps.next;
+  ps.measurements <- sync io measurements_codec ps.measurements;
+  ps.best <- sync io best_codec ps.best;
+  Ace_util.Stats.Running.sync io ps.ipc_stats
 
-let capture t =
-  {
-    s_vector = Vector.capture t.vector;
-    s_tracker = Tracker.capture t.tracker;
-    s_phases =
-      Array.init t.n_phases (fun i ->
-          let ps = t.phases.(i) in
-          {
-            ps_next = ps.next;
-            ps_measurements =
-              List.map
-                (fun m ->
-                  { ms_config = Array.copy m.config; ms_energy = m.energy; ms_ipc = m.ipc })
-                ps.measurements;
-            ps_best = Option.map Array.copy ps.best;
-            ps_ipc_stats = Ace_util.Stats.Running.capture ps.ipc_stats;
-          });
-    s_accts = Array.map (Option.map Accounting.capture) t.accts;
-    s_cus = Array.map Cu.capture t.cus;
-    s_pending = t.pending;
-    s_instrs0 = t.instrs0;
-    s_cycles0 = t.cycles0;
-    s_l1a0 = t.l1a0;
-    s_l1m0 = t.l1m0;
-    s_l2a0 = t.l2a0;
-    s_l2m0 = t.l2m0;
-    s_predictor = Next_phase.capture t.predictor;
-    s_prev_phase = t.prev_phase;
-    s_pending_prediction = t.pending_prediction;
-    s_n_tunings = t.n_tunings;
-    s_reconfigs = Array.copy t.reconfigs;
-    s_finalized = t.finalized;
-  }
-
-let restore t s =
-  let n_cus = Array.length t.cus in
-  if Array.length s.s_cus <> n_cus then
-    invalid_arg "Bbv.Scheme.restore: CU count mismatch";
-  Vector.restore t.vector s.s_vector;
-  Tracker.restore t.tracker s.s_tracker;
-  let n = Array.length s.s_phases in
-  t.phases <- Array.make (max 16 n) (fresh_phase ());
+let sync io t =
+  let open Ace_util.Codec in
+  Vector.sync io t.vector;
+  Tracker.sync io t.tracker;
+  (* Live phases only. *)
+  let n = sync_length io t.n_phases in
+  if reading io then begin
+    t.phases <- Array.make (max 16 n) (fresh_phase ());
+    for i = 0 to n - 1 do
+      t.phases.(i) <- fresh_phase ()
+    done;
+    t.n_phases <- n
+  end;
   for i = 0 to n - 1 do
-    let ps = s.s_phases.(i) in
-    let st = fresh_phase () in
-    st.next <- ps.ps_next;
-    st.measurements <-
-      List.map
-        (fun m ->
-          { config = Array.copy m.ms_config; energy = m.ms_energy; ipc = m.ms_ipc })
-        ps.ps_measurements;
-    st.best <- Option.map Array.copy ps.ps_best;
-    Ace_util.Stats.Running.restore st.ipc_stats ps.ps_ipc_stats;
-    t.phases.(i) <- st
+    sync_phase io t.phases.(i)
   done;
-  t.n_phases <- n;
-  Array.iteri
-    (fun k acct ->
-      match (acct, s.s_accts.(k)) with
-      | Some a, Some sa -> Accounting.restore a sa
-      | None, None -> ()
-      | _ -> invalid_arg "Bbv.Scheme.restore: accounting shape mismatch")
-    t.accts;
-  Array.iteri (fun k cs -> Cu.restore t.cus.(k) cs) s.s_cus;
-  t.pending <- s.s_pending;
-  t.instrs0 <- s.s_instrs0;
-  t.cycles0 <- s.s_cycles0;
-  t.l1a0 <- s.s_l1a0;
-  t.l1m0 <- s.s_l1m0;
-  t.l2a0 <- s.s_l2a0;
-  t.l2m0 <- s.s_l2m0;
-  Next_phase.restore t.predictor s.s_predictor;
-  t.prev_phase <- s.s_prev_phase;
-  t.pending_prediction <- s.s_pending_prediction;
-  t.n_tunings <- s.s_n_tunings;
-  Array.blit s.s_reconfigs 0 t.reconfigs 0 n_cus;
-  t.finalized <- s.s_finalized
+  sync_each io (fun io -> sync_option io Accounting.sync) t.accts;
+  sync_each io Cu.sync t.cus;
+  t.pending <- sync io pending_codec t.pending;
+  t.instrs0 <- sync io int t.instrs0;
+  t.cycles0 <- sync io float t.cycles0;
+  t.l1a0 <- sync io int t.l1a0;
+  t.l1m0 <- sync io int t.l1m0;
+  t.l2a0 <- sync io int t.l2a0;
+  t.l2m0 <- sync io int t.l2m0;
+  Next_phase.sync io t.predictor;
+  t.prev_phase <- sync io int t.prev_phase;
+  t.pending_prediction <- sync io (option int) t.pending_prediction;
+  t.n_tunings <- sync io int t.n_tunings;
+  sync_array io int t.reconfigs;
+  t.finalized <- sync io bool t.finalized

@@ -90,46 +90,12 @@ val predictor_stats : t -> (int * int * float) option
 (** (predictions issued, correct, accuracy) when next-phase prediction is
     enabled; [None] otherwise. *)
 
-(** {2 Checkpoint capture / restore}
+(** {2 Checkpoints} *)
 
-    Pure-data image of the scheme's mutable state: the in-flight BBV
-    accumulator, the phase tracker, per-phase tuning progress, energy
-    accounting, CU register state and the optional next-phase predictor.
-    The configuration space is recomputed at attach time, not serialized. *)
-
-type measurement_state = { ms_config : int array; ms_energy : float; ms_ipc : float }
-
-type phase_state_state = {
-  ps_next : int;
-  ps_measurements : measurement_state list;
-  ps_best : int array option;
-  ps_ipc_stats : Ace_util.Stats.Running.state;
-}
-
-type state = {
-  s_vector : Vector.state;
-  s_tracker : Tracker.state;
-  s_phases : phase_state_state array;
-  s_accts : Ace_power.Accounting.state option array;
-  s_cus : Ace_core.Cu.state array;
-  s_pending : (int * int * [ `Warm | `Measure ]) option;
-  s_instrs0 : int;
-  s_cycles0 : float;
-  s_l1a0 : int;
-  s_l1m0 : int;
-  s_l2a0 : int;
-  s_l2m0 : int;
-  s_predictor : Next_phase.state;
-  s_prev_phase : int;
-  s_pending_prediction : int option;
-  s_n_tunings : int;
-  s_reconfigs : int array;
-  s_finalized : bool;
-}
-
-val capture : t -> state
-
-val restore : t -> state -> unit
-(** Overwrite a freshly [attach]ed scheme (same engine config and CU array)
-    with a captured state.
-    @raise Invalid_argument on a shape mismatch. *)
+val sync : Ace_util.Codec.io -> t -> unit
+(** The scheme's mutable state: the in-flight BBV accumulator, the phase
+    tracker, per-phase tuning progress, energy accounting, CU register
+    state and the optional next-phase predictor.  The configuration space
+    is recomputed at attach time, not serialized.  Reading overwrites a
+    freshly [attach]ed scheme (same engine config and CU array).
+    @raise Ace_util.Codec.Error on a state that scheme cannot hold. *)

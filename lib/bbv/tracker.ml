@@ -85,37 +85,25 @@ let current_phase t = t.cur_phase
 let current_run t = t.cur_run
 let phase_intervals t id = t.counts.(id)
 
-type state = {
-  s_signatures : float array array;  (* live signatures only *)
-  s_counts : int array;
-  s_n_intervals : int;
-  s_n_stable : int;
-  s_cur_phase : int;
-  s_cur_run : int;
-}
+let signature_codec = Ace_util.Codec.(array float)
 
-let capture t =
-  {
-    s_signatures =
-      Array.init t.n_signatures (fun i -> Array.copy t.signatures.(i));
-    s_counts = Array.sub t.counts 0 t.n_signatures;
-    s_n_intervals = t.n_intervals;
-    s_n_stable = t.n_stable;
-    s_cur_phase = t.cur_phase;
-    s_cur_run = t.cur_run;
-  }
-
-let restore t s =
-  let n = Array.length s.s_signatures in
-  if Array.length s.s_counts <> n then
-    invalid_arg "Tracker.restore: signature/count length mismatch";
-  let cap = max 16 n in
-  t.signatures <- Array.make cap [||];
-  t.counts <- Array.make cap 0;
-  Array.iteri (fun i sg -> t.signatures.(i) <- Array.copy sg) s.s_signatures;
-  Array.blit s.s_counts 0 t.counts 0 n;
-  t.n_signatures <- n;
-  t.n_intervals <- s.s_n_intervals;
-  t.n_stable <- s.s_n_stable;
-  t.cur_phase <- s.s_cur_phase;
-  t.cur_run <- s.s_cur_run
+(* Live signatures only: the tables' spare capacity is not state. *)
+let sync io t =
+  let open Ace_util.Codec in
+  let n = sync_length io t.n_signatures in
+  if reading io then begin
+    t.signatures <- Array.make (max 16 n) [||];
+    t.counts <- Array.make (max 16 n) 0;
+    t.n_signatures <- n
+  end;
+  for i = 0 to n - 1 do
+    t.signatures.(i) <- sync io signature_codec t.signatures.(i)
+  done;
+  if sync_length io n <> n then fail "%d phase signatures but other counts" n;
+  for i = 0 to n - 1 do
+    t.counts.(i) <- sync io int t.counts.(i)
+  done;
+  t.n_intervals <- sync io int t.n_intervals;
+  t.n_stable <- sync io int t.n_stable;
+  t.cur_phase <- sync io int t.cur_phase;
+  t.cur_run <- sync io int t.cur_run

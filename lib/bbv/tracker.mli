@@ -39,18 +39,7 @@ val current_run : t -> int
 val phase_intervals : t -> int -> int
 (** Intervals attributed to the given phase id. *)
 
-(** Signature table and run-length counters, for checkpoint serialization.
-    The match threshold is fixed at creation and not part of the state. *)
-type state = {
-  s_signatures : float array array;
-  s_counts : int array;
-  s_n_intervals : int;
-  s_n_stable : int;
-  s_cur_phase : int;
-  s_cur_run : int;
-}
-
-val capture : t -> state
-
-val restore : t -> state -> unit
-(** @raise Invalid_argument if the state is internally inconsistent. *)
+val sync : Ace_util.Codec.io -> t -> unit
+(** Signature table and run-length counters, for checkpoints.  The match
+    threshold is fixed at creation and not part of them.
+    @raise Ace_util.Codec.Error if signature and count tables disagree. *)

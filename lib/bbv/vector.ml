@@ -28,12 +28,7 @@ let clear t =
 
 let is_empty t = t.total = 0
 
-type state = { s_counters : int array; s_total : int }
-
-let capture t = { s_counters = Array.copy t.counters; s_total = t.total }
-
-let restore t s =
-  if Array.length s.s_counters <> Array.length t.counters then
-    invalid_arg "Vector.restore: bucket count mismatch";
-  Array.blit s.s_counters 0 t.counters 0 (Array.length t.counters);
-  t.total <- s.s_total
+let sync io t =
+  let open Ace_util.Codec in
+  sync_array io int t.counters;
+  t.total <- sync io int t.total

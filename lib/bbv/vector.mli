@@ -23,10 +23,6 @@ val clear : t -> unit
 
 val is_empty : t -> bool
 
-(** Accumulator contents, for checkpoint serialization. *)
-type state = { s_counters : int array; s_total : int }
-
-val capture : t -> state
-
-val restore : t -> state -> unit
-(** @raise Invalid_argument if the bucket counts differ. *)
+val sync : Ace_util.Codec.io -> t -> unit
+(** Accumulator contents, for checkpoints.
+    @raise Ace_util.Codec.Error if the bucket counts differ. *)

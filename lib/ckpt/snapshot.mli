@@ -1,19 +1,25 @@
 (** Versioned, CRC-checked binary snapshots of the full simulator state.
 
-    A snapshot captures everything a run needs to continue bit-identically:
+    A snapshot holds everything a run needs to continue bit-identically:
     the engine (counters, frame stack, RNG, pattern cursors, DO database,
-    memory hierarchy), the fault injector's RNG and latch table, and the
-    attached scheme's tuning state.  Construction-time inputs — program,
-    configs, thresholds, CU families — are deliberately {e not} serialized;
-    they are recomputed deterministically from {!meta} at restore time, which
+    memory hierarchy), the fault injector's RNG and latch table, the
+    attached scheme's tuning state, the observability image and the
+    sampler's cache.  Construction-time inputs — program, configs,
+    thresholds, CU families — are deliberately {e not} serialized; they are
+    recomputed deterministically from {!meta} when the run is rebuilt, which
     keeps the format small and makes version skew loud instead of silent.
+
+    This module owns the {!meta} record, the container and file I/O.  The
+    {e body} — the payload after the meta record — is written by each
+    stateful module's [sync] from the live run and read back into a rebuilt
+    one ([Ace_harness.Run]), so it is validated where it is restored.
 
     Container layout (see DESIGN.md §Checkpointing): magic ["ACESNAP1"],
     format {!version} (u16 LE), payload length (i64 LE), CRC-32 of the
     payload (i64 LE), payload.  {!decode} refuses bad magic, unknown
-    versions, truncation and CRC mismatches, so a torn or corrupted write is
-    always detected; {!write} rotates the previous file to [path.1] so
-    {!read_with_fallback} can fall back to the last good snapshot. *)
+    versions, truncation, CRC mismatches and a malformed meta, so a torn or
+    corrupted write is always detected; {!write} rotates the previous file
+    to [path.1] so readers can fall back to the last good snapshot. *)
 
 (** Why a snapshot was refused.  The cases matter to supervisors: a
     [Truncated] file is the signature of a writer killed mid-write (e.g. the
@@ -31,8 +37,10 @@ type error =
   | Crc_mismatch of { stored : int; computed : int }
       (** Payload bytes damaged after the length was written. *)
   | Malformed of string
-      (** Structurally impossible container or undecodable payload (bad
-          tag, trailing bytes, declared length beyond file size ...). *)
+      (** Structurally impossible container, or a payload that does not
+          decode or does not restore (bad tag, trailing bytes, declared
+          length beyond file size, a shape the rebuilt run cannot hold
+          ...). *)
   | Unreadable of string  (** The file could not be read at all. *)
 
 exception Error of error
@@ -61,35 +69,28 @@ type meta = {
       (** Phase-memoized sampling, if the run had it enabled. *)
 }
 
-type scheme_state =
-  | S_baseline  (** Fixed baseline needs no state beyond the engine's. *)
-  | S_hotspot of Ace_core.Framework.state
-  | S_bbv of Ace_bbv.Scheme.state
-
-type t = {
-  meta : meta;
-  engine : Ace_vm.Engine.state;
-  faults : Ace_faults.Faults.state option;
-  scheme_state : scheme_state;
-  obs : Ace_obs.Obs.state option;
-      (** Observability sink image ([None] when observability is off), so a
-          resumed run continues its metrics and timeline seamlessly. *)
-  sample_state : Ace_sample.Sample.state option;
-      (** Phase-statistics cache and in-flight observations ([None] when
-          sampling is off), so a resumed sampled run makes exactly the
-          fast-forward decisions the uninterrupted run would. *)
-}
+type t = { meta : meta; body : string }
+(** The decoded {!meta} and the encoded body. *)
 
 val version : int
-(** Current snapshot format version.  Bump whenever any serialized state
-    type or field order changes. *)
+(** Current snapshot format version.  Bump whenever any module's [sync] or
+    the meta record changes its fields or their order. *)
+
+val read_body : t -> (Ace_util.Codec.io -> unit) -> unit
+(** Run the function over the body.
+    @raise Error [(Malformed _)] if it refuses the bytes or leaves some
+    unread. *)
+
+val instrs : t -> int
+(** The body's first field: the engine's instruction count.
+    @raise Error [(Malformed _)] if the body is too short to hold it. *)
 
 val encode : t -> string
 (** The full container: header plus CRC-protected payload. *)
 
 val decode : string -> t
 (** @raise Error on truncation, bad magic, version skew, CRC mismatch or a
-    malformed payload. *)
+    malformed meta.  The body is checked when it is read back. *)
 
 val write :
   ?io:Ace_util.Io.t ->
@@ -115,7 +116,15 @@ val read : ?io:Ace_util.Io.t -> path:string -> unit -> t
     failures ({!Ace_util.Io.Io_error}) surface as [Error (Unreadable _)],
     never as a raw exception. *)
 
+val with_fallback :
+  ?io:Ace_util.Io.t ->
+  path:string ->
+  (t -> 'a) ->
+  ('a * [ `Primary | `Fallback ]) option
+(** [with_fallback ~path f] is [f] of the snapshot at [path]; if that file
+    is missing, fails {!decode} or [f] raises {!Error} on it, [f] of the
+    one at [path.1].  [None] when neither works. *)
+
 val read_with_fallback :
   ?io:Ace_util.Io.t -> path:string -> unit -> (t * [ `Primary | `Fallback ]) option
-(** Read [path]; if it is missing or malformed, fall back to [path.1].
-    [None] when neither holds a good snapshot. *)
+(** [with_fallback ~path Fun.id]: the newest snapshot that decodes. *)

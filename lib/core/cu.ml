@@ -104,31 +104,15 @@ let issue_queue engine =
       (float_of_int profile.Ace_vm.Profile.instrs *. access_nj setting)
       +. (profile.Ace_vm.Profile.cycles *. leak_nj setting))
 
-type state = {
-  s_current : int;
-  s_last_reconfig_instr : int;
-  s_applied : int;
-  s_denied : int;
-  s_invalid : int;
-}
-
-let capture t =
-  {
-    s_current = t.current;
-    s_last_reconfig_instr = t.last_reconfig_instr;
-    s_applied = t.applied_count;
-    s_denied = t.denied_count;
-    s_invalid = t.invalid_count;
-  }
-
-(* The hardware behind the CU (cache sizes, ILP/exposure scales) is restored
-   separately via [Engine.restore]; only the register/guard state and request
-   counters live here, so no [apply] is performed. *)
-let restore t s =
-  if s.s_current < 0 || s.s_current >= n_settings t then
-    invalid_arg "Cu.restore: setting index out of range";
-  t.current <- s.s_current;
-  t.last_reconfig_instr <- s.s_last_reconfig_instr;
-  t.applied_count <- s.s_applied;
-  t.denied_count <- s.s_denied;
-  t.invalid_count <- s.s_invalid
+(* The hardware behind the CU (cache sizes, ILP/exposure scales) is
+   checkpointed by [Engine.sync]; only the register/guard state and request
+   counters live here, so reading performs no [apply]. *)
+let sync io t =
+  let open Ace_util.Codec in
+  t.current <- sync io int t.current;
+  if t.current < 0 || t.current >= n_settings t then
+    fail "%s setting index %d out of range" t.name t.current;
+  t.last_reconfig_instr <- sync io int t.last_reconfig_instr;
+  t.applied_count <- sync io int t.applied_count;
+  t.denied_count <- sync io int t.denied_count;
+  t.invalid_count <- sync io int t.invalid_count

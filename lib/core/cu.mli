@@ -58,18 +58,8 @@ val reorder_buffer : Ace_vm.Engine.t -> t
     interval.  A smaller window hides less memory-miss latency (the engine's
     exposure scale) and saves CAM/payload energy. *)
 
-(** Register/guard state and request counters, for checkpoint serialization.
-    The hardware effect of the current setting is restored by
-    [Engine.restore], not here. *)
-type state = {
-  s_current : int;
-  s_last_reconfig_instr : int;
-  s_applied : int;
-  s_denied : int;
-  s_invalid : int;
-}
-
-val capture : t -> state
-
-val restore : t -> state -> unit
-(** @raise Invalid_argument if the setting index is out of range. *)
+val sync : Ace_util.Codec.io -> t -> unit
+(** Register/guard state and request counters, for checkpoints.  The
+    hardware effect of the current setting is checkpointed by
+    [Engine.sync], not here.
+    @raise Ace_util.Codec.Error if the setting index is out of range. *)

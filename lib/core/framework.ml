@@ -29,6 +29,10 @@ let default_config =
     cu_probe_interval = 50;
   }
 
+let config_for ~resilient =
+  if resilient then { default_config with resilience = Tuner.default_resilience }
+  else default_config
+
 type hotspot_state = {
   tuner : Tuner.t;
   managed : int array;  (* indices into the CU array *)
@@ -90,8 +94,8 @@ type t = {
    [n_cus <= 62]), so bit 62 — OCaml's 63-bit int sign bit, harmless under
    [land]/[lor] and round-tripped exactly by the fixed-width snapshot codec
    — is free.  Riding the flag on [frame_masks] makes the open-measurement
-   count a pure function of the already-serialized frame list: restore
-   recomputes it instead of trusting a second copy. *)
+   count a pure function of the already-serialized frame list: reading a
+   checkpoint recomputes it instead of trusting a second copy. *)
 let measuring_bit = 1 lsl 62
 
 let handle_applied t cu_idx flushed_lines =
@@ -663,85 +667,29 @@ let hotspot_views t =
     t.states;
   List.rev !views
 
-(* {2 Checkpoint capture / restore} *)
+(* {2 Checkpoints} *)
 
-type hotspot_state_state = {
-  hs_tuner : Tuner.state;
-  hs_managed : int array;
-  hs_ever_configured : bool;
-  hs_last_invoked : int;
-}
-
-type state = {
-  s_states : hotspot_state_state option array;
-  s_accts : Accounting.state option array;
-  s_cus : Cu.state array;
-  s_class_depth : int array;
-  s_class_start : int array;
-  s_covered : int array;
-  s_tunings : int array;
-  s_reconfigs : int array;
-  s_class_hotspots : int array;
-  s_tuned_hotspots : int array;
-  s_retunes : int array;
-  s_predicted : int array;
-  s_believed : int array;
-  s_mis_since : int array;
-  s_misconfig : int array;
-  s_verify_failures : int array;
-  s_consec_badwrites : int array;
-  s_failed : bool array;
-  s_probe_countdown : int array;
-  s_recoveries : int array;
-  s_quarantined : int;
-  s_frame_masks : int list;
-  s_invoke_tick : int;
-  s_unmanaged : int;
-  s_finalized : bool;
-}
-
-let capture t =
-  {
-    s_states =
-      Array.map
-        (Option.map (fun st ->
-             {
-               hs_tuner = Tuner.capture st.tuner;
-               hs_managed = Array.copy st.managed;
-               hs_ever_configured = st.ever_configured;
-               hs_last_invoked = st.last_invoked;
-             }))
-        t.states;
-    s_accts = Array.map (Option.map Accounting.capture) t.accts;
-    s_cus = Array.map Cu.capture t.cus;
-    s_class_depth = Array.copy t.class_depth;
-    s_class_start = Array.copy t.class_start;
-    s_covered = Array.copy t.covered;
-    s_tunings = Array.copy t.tunings;
-    s_reconfigs = Array.copy t.reconfigs;
-    s_class_hotspots = Array.copy t.class_hotspots;
-    s_tuned_hotspots = Array.copy t.tuned_hotspots;
-    s_retunes = Array.copy t.retunes;
-    s_predicted = Array.copy t.predicted;
-    s_believed = Array.copy t.believed;
-    s_mis_since = Array.copy t.mis_since;
-    s_misconfig = Array.copy t.misconfig;
-    s_verify_failures = Array.copy t.verify_failures;
-    s_consec_badwrites = Array.copy t.consec_badwrites;
-    s_failed = Array.copy t.failed;
-    s_probe_countdown = Array.copy t.probe_countdown;
-    s_recoveries = Array.copy t.recoveries;
-    s_quarantined = t.quarantined;
-    s_frame_masks = t.frame_masks;
-    s_invoke_tick = t.invoke_tick;
-    s_unmanaged = t.unmanaged;
-    s_finalized = t.finalized;
-  }
+let hotspot_codec =
+  let open Ace_util.Codec in
+  option
+    (let+ tuner = field Tuner.codec (fun st -> st.tuner)
+     and+ managed = field (array int) (fun st -> st.managed)
+     and+ ever_configured = field bool (fun st -> st.ever_configured)
+     and+ last_invoked = field int (fun st -> st.last_invoked) in
+     { tuner; managed; ever_configured; last_invoked })
 
 (* Tuner construction inputs (configuration list, coarse-vs-fine params) are
    not serialized; they are recomputed here exactly as [on_promoted] derived
-   them, from the restored CU array and the framework config. *)
-let tuner_inputs t managed =
+   them, from the managed CUs and the framework config. *)
+let adopt t meth_id st =
+  let n_cus = Array.length t.cus in
+  let rec ascending prev = function
+    | [] -> true
+    | k :: rest -> k > prev && k < n_cus && ascending k rest
+  in
+  let managed = Array.to_list st.managed in
+  if not (ascending (-1) managed) then
+    Ace_util.Codec.fail "hotspot %d manages CUs outside 0..%d" meth_id (n_cus - 1);
   let configs = Decoupling.configurations ~cus:t.cus ~managed in
   let coarse =
     List.exists (fun k -> t.cus.(k).Cu.reconfig_interval >= 500_000) managed
@@ -754,62 +702,46 @@ let tuner_inputs t managed =
       }
     else t.cfg.tuner
   in
-  (params, configs)
+  {
+    st with
+    tuner =
+      Tuner.rebuild ~resilience:t.cfg.resilience ~obs:t.obs ~id:meth_id params
+        ~configs st.tuner;
+  }
 
-let restore t s =
-  let n_cus = Array.length t.cus in
-  if Array.length s.s_states <> Array.length t.states then
-    invalid_arg "Framework.restore: method count mismatch";
-  if Array.length s.s_cus <> n_cus then
-    invalid_arg "Framework.restore: CU count mismatch";
-  Array.iteri (fun k cs -> Cu.restore t.cus.(k) cs) s.s_cus;
-  Array.iteri
-    (fun meth_id hs_opt ->
-      t.states.(meth_id) <-
-        Option.map
-          (fun hs ->
-            let params, configs = tuner_inputs t (Array.to_list hs.hs_managed) in
-            {
-              tuner =
-                Tuner.restore ~resilience:t.cfg.resilience ~obs:t.obs
-                  ~id:meth_id params ~configs hs.hs_tuner;
-              managed = Array.copy hs.hs_managed;
-              ever_configured = hs.hs_ever_configured;
-              last_invoked = hs.hs_last_invoked;
-            })
-          hs_opt)
-    s.s_states;
-  Array.iteri
-    (fun k acct ->
-      match (acct, s.s_accts.(k)) with
-      | Some a, Some sa -> Accounting.restore a sa
-      | None, None -> ()
-      | _ -> invalid_arg "Framework.restore: accounting shape mismatch")
-    t.accts;
-  let blit src dst = Array.blit src 0 dst 0 n_cus in
-  blit s.s_class_depth t.class_depth;
-  blit s.s_class_start t.class_start;
-  blit s.s_covered t.covered;
-  blit s.s_tunings t.tunings;
-  blit s.s_reconfigs t.reconfigs;
-  blit s.s_class_hotspots t.class_hotspots;
-  blit s.s_tuned_hotspots t.tuned_hotspots;
-  blit s.s_retunes t.retunes;
-  blit s.s_predicted t.predicted;
-  blit s.s_believed t.believed;
-  blit s.s_mis_since t.mis_since;
-  blit s.s_misconfig t.misconfig;
-  blit s.s_verify_failures t.verify_failures;
-  blit s.s_consec_badwrites t.consec_badwrites;
-  Array.blit s.s_failed 0 t.failed 0 n_cus;
-  blit s.s_probe_countdown t.probe_countdown;
-  blit s.s_recoveries t.recoveries;
-  t.quarantined <- s.s_quarantined;
-  t.frame_masks <- s.s_frame_masks;
-  t.measuring_open <-
-    List.fold_left
-      (fun acc m -> if m land measuring_bit <> 0 then acc + 1 else acc)
-      0 s.s_frame_masks;
-  t.invoke_tick <- s.s_invoke_tick;
-  t.unmanaged <- s.s_unmanaged;
-  t.finalized <- s.s_finalized
+let sync io t =
+  let open Ace_util.Codec in
+  sync_array io hotspot_codec t.states;
+  if reading io then
+    Array.iteri
+      (fun meth_id st -> t.states.(meth_id) <- Option.map (adopt t meth_id) st)
+      t.states;
+  sync_each io (fun io -> sync_option io Accounting.sync) t.accts;
+  sync_each io Cu.sync t.cus;
+  sync_array io int t.class_depth;
+  sync_array io int t.class_start;
+  sync_array io int t.covered;
+  sync_array io int t.tunings;
+  sync_array io int t.reconfigs;
+  sync_array io int t.class_hotspots;
+  sync_array io int t.tuned_hotspots;
+  sync_array io int t.retunes;
+  sync_array io int t.predicted;
+  sync_array io int t.believed;
+  sync_array io int t.mis_since;
+  sync_array io int t.misconfig;
+  sync_array io int t.verify_failures;
+  sync_array io int t.consec_badwrites;
+  sync_array io bool t.failed;
+  sync_array io int t.probe_countdown;
+  sync_array io int t.recoveries;
+  t.quarantined <- sync io int t.quarantined;
+  t.frame_masks <- sync io (list int) t.frame_masks;
+  if reading io then
+    t.measuring_open <-
+      List.fold_left
+        (fun acc m -> if m land measuring_bit <> 0 then acc + 1 else acc)
+        0 t.frame_masks;
+  t.invoke_tick <- sync io int t.invoke_tick;
+  t.unmanaged <- sync io int t.unmanaged;
+  t.finalized <- sync io bool t.finalized

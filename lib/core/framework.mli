@@ -60,6 +60,10 @@ val default_config : config
 (** Decoupling on, default tuner parameters (2 invocations per configuration
     for coarse hotspots), 2000-instruction JIT patches, resilience off. *)
 
+val config_for : resilient:bool -> config
+(** {!default_config}, with {!Tuner.default_resilience} when [resilient]:
+    what the [--resilient] flag selects everywhere. *)
+
 type t
 
 val attach :
@@ -177,52 +181,13 @@ type hotspot_view = {
 val hotspot_views : t -> hotspot_view list
 (** All managed hotspots, in method-id order. *)
 
-(** {2 Checkpoint capture / restore}
+(** {2 Checkpoints} *)
 
-    Pure-data image of the framework's mutable state, including its CUs'
-    register/counter state, per-hotspot tuner FSMs and energy accounting.
-    Tuner construction inputs (configuration lists, coarse-vs-fine params)
-    are recomputed at restore time from the framework config, not
-    serialized. *)
-
-type hotspot_state_state = {
-  hs_tuner : Tuner.state;
-  hs_managed : int array;
-  hs_ever_configured : bool;
-  hs_last_invoked : int;
-}
-
-type state = {
-  s_states : hotspot_state_state option array;  (** Indexed by method id. *)
-  s_accts : Ace_power.Accounting.state option array;
-  s_cus : Cu.state array;
-  s_class_depth : int array;
-  s_class_start : int array;
-  s_covered : int array;
-  s_tunings : int array;
-  s_reconfigs : int array;
-  s_class_hotspots : int array;
-  s_tuned_hotspots : int array;
-  s_retunes : int array;
-  s_predicted : int array;
-  s_believed : int array;
-  s_mis_since : int array;
-  s_misconfig : int array;
-  s_verify_failures : int array;
-  s_consec_badwrites : int array;
-  s_failed : bool array;
-  s_probe_countdown : int array;
-  s_recoveries : int array;
-  s_quarantined : int;
-  s_frame_masks : int list;
-  s_invoke_tick : int;
-  s_unmanaged : int;
-  s_finalized : bool;
-}
-
-val capture : t -> state
-
-val restore : t -> state -> unit
-(** Overwrite a freshly [attach]ed framework (same program, CU array and
-    config) with a captured state.
-    @raise Invalid_argument on a shape mismatch. *)
+val sync : Ace_util.Codec.io -> t -> unit
+(** The framework's mutable state, including its CUs' register/counter
+    state, per-hotspot tuner FSMs and energy accounting.  Tuner
+    construction inputs (configuration lists, coarse-vs-fine params) are
+    recomputed from the framework config when reading, not serialized.
+    Reading overwrites a freshly [attach]ed framework (same program, CU
+    array and config).
+    @raise Ace_util.Codec.Error on a state that framework cannot hold. *)

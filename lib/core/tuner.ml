@@ -299,11 +299,11 @@ type transition = Continue | Finished of int array | Retuning | Quarantine
 
 (* Select the most energy-efficient measured configuration whose IPC is
    within the performance threshold of the best measured IPC. *)
-let select t measurements =
+let select ~performance_threshold measurements =
   let best_ipc =
     List.fold_left (fun acc m -> Float.max acc m.ipc) 0.0 measurements
   in
-  let floor_ipc = best_ipc *. (1.0 -. t.params.performance_threshold) in
+  let floor_ipc = best_ipc *. (1.0 -. performance_threshold) in
   let eligible = List.filter (fun m -> m.ipc >= floor_ipc) measurements in
   let pool = match eligible with [] -> measurements | _ :: _ -> eligible in
   match pool with
@@ -312,7 +312,9 @@ let select t measurements =
       List.fold_left (fun acc m -> if m.energy < acc.energy then m else acc) m0 rest
 
 let finish t measurements =
-  let best = select t measurements in
+  let best =
+    select ~performance_threshold:t.params.performance_threshold measurements
+  in
   t.tested_last_round <- List.length measurements;
   t.phase <-
     Configured
@@ -553,146 +555,78 @@ let stats (t : t) =
     quarantined = is_quarantined t;
   }
 
-(* {2 Checkpoint capture / restore} *)
+(* {2 Checkpoints}
 
-type measurement_state = { ms_config : int array; ms_energy : float; ms_ipc : float }
+   The FSM is plain data, described by value codecs.  [params], [res] and
+   [configs] are construction-time inputs: a tuner is read blank and then
+   then rebuilt with them, so the format stays independent of the
+   configuration-space encoding. *)
 
-type tuning_phase_state = {
-  ts_next : int;
-  ts_pending : bool;
-  ts_measurements : measurement_state list;
-  ts_acc_energy : float;
-  ts_acc_ipc : float;
-  ts_acc_n : int;
-  ts_acc_samples : (float * float) list;
-  ts_warmup_left : int;
-  ts_attempts : int;
-  ts_backoff_left : int;
-  ts_degrade_flagged : bool;
-}
+let measurement_codec =
+  let open Ace_util.Codec in
+  let+ config = field (array int) (fun m -> m.config)
+  and+ energy = field float (fun m -> m.energy)
+  and+ ipc = field float (fun m -> m.ipc) in
+  { config; energy; ipc }
 
-type phase_state =
-  | S_tuning of tuning_phase_state
-  | S_configured of {
-      cs_best : int array;
-      cs_ref_ipc : float;
-      cs_exits : int;
-      cs_sampling : bool;
-      cs_confirming : bool;
-    }
-  | S_quarantined of { qs_best : int array }
+let tuning_codec =
+  let open Ace_util.Codec in
+  let+ next = field int (fun ts -> ts.next)
+  and+ pending = field bool (fun ts -> ts.pending)
+  and+ measurements = field (list measurement_codec) (fun ts -> ts.measurements)
+  and+ acc_energy = field float (fun ts -> ts.acc_energy)
+  and+ acc_ipc = field float (fun ts -> ts.acc_ipc)
+  and+ acc_n = field int (fun ts -> ts.acc_n)
+  and+ acc_samples = field (list (pair float float)) (fun ts -> ts.acc_samples)
+  and+ warmup_left = field int (fun ts -> ts.warmup_left)
+  and+ attempts = field int (fun ts -> ts.attempts)
+  and+ backoff_left = field int (fun ts -> ts.backoff_left)
+  and+ degrade_flagged = field bool (fun ts -> ts.degrade_flagged) in
+  { next; pending; measurements; acc_energy; acc_ipc; acc_n; acc_samples; warmup_left;
+    attempts; backoff_left; degrade_flagged }
 
-type state = {
-  s_phase : phase_state;
-  s_rounds : int;
-  s_tested_last_round : int;
-  s_total_exits : int;
-  s_retune_exits : int list;
-  s_retries : int;
-  s_backoff_skips : int;
-  s_skipped_configs : int;
-  s_verify_failures : int;
-}
+let phase_codec =
+  let open Ace_util.Codec in
+  let tuning = case 0 tuning_codec (fun ts -> Tuning ts)
+  and configured =
+    case 1
+      (pair (array int) (pair float (triple int bool bool)))
+      (fun (best, (ref_ipc, (exits, sampling, confirming))) ->
+        Configured { best; ref_ipc; exits; sampling; confirming })
+  and quarantined = case 2 (array int) (fun best -> Quarantined { best }) in
+  variant "tuner phase"
+    [ Case tuning; Case configured; Case quarantined ]
+    (fun w -> function
+      | Tuning ts -> write w tuning ts
+      | Configured { best; ref_ipc; exits; sampling; confirming } ->
+          write w configured (best, (ref_ipc, (exits, sampling, confirming)))
+      | Quarantined { best } -> write w quarantined best)
 
-let capture t =
-  let phase =
-    match t.phase with
-    | Tuning ts ->
-        S_tuning
-          {
-            ts_next = ts.next;
-            ts_pending = ts.pending;
-            ts_measurements =
-              List.map
-                (fun m ->
-                  { ms_config = Array.copy m.config; ms_energy = m.energy; ms_ipc = m.ipc })
-                ts.measurements;
-            ts_acc_energy = ts.acc_energy;
-            ts_acc_ipc = ts.acc_ipc;
-            ts_acc_n = ts.acc_n;
-            ts_acc_samples = ts.acc_samples;
-            ts_warmup_left = ts.warmup_left;
-            ts_attempts = ts.attempts;
-            ts_backoff_left = ts.backoff_left;
-            ts_degrade_flagged = ts.degrade_flagged;
-          }
-    | Configured cs ->
-        S_configured
-          {
-            cs_best = Array.copy cs.best;
-            cs_ref_ipc = cs.ref_ipc;
-            cs_exits = cs.exits;
-            cs_sampling = cs.sampling;
-            cs_confirming = cs.confirming;
-          }
-    | Quarantined q -> S_quarantined { qs_best = Array.copy q.best }
-  in
-  {
-    s_phase = phase;
-    s_rounds = t.rounds;
-    s_tested_last_round = t.tested_last_round;
-    s_total_exits = t.total_exits;
-    s_retune_exits = t.retune_exits;
-    s_retries = t.retries;
-    s_backoff_skips = t.backoff_skips;
-    s_skipped_configs = t.skipped_configs;
-    s_verify_failures = t.verify_failures;
-  }
+let unattached = make_meters Obs.null (-1)
 
-(* Rebuild a tuner from a captured state.  [params], [resilience] and
-   [configs] are construction-time inputs the caller recomputes
-   deterministically from the run's metadata (they are not serialized, which
-   keeps the snapshot format independent of the configuration-space
-   encoding). *)
-let restore ?(resilience = no_resilience) ?(obs = Obs.null) ?(id = -1) params
-    ~configs s =
-  if Array.length configs = 0 then invalid_arg "Tuner.restore: empty configuration list";
-  let phase =
-    match s.s_phase with
-    | S_tuning ts ->
-        (if ts.ts_next < 0 || ts.ts_next > Array.length configs then
-           invalid_arg "Tuner.restore: tuning index out of range");
-        Tuning
-          {
-            next = ts.ts_next;
-            pending = ts.ts_pending;
-            measurements =
-              List.map
-                (fun m ->
-                  { config = Array.copy m.ms_config; energy = m.ms_energy; ipc = m.ms_ipc })
-                ts.ts_measurements;
-            acc_energy = ts.ts_acc_energy;
-            acc_ipc = ts.ts_acc_ipc;
-            acc_n = ts.ts_acc_n;
-            acc_samples = ts.ts_acc_samples;
-            warmup_left = ts.ts_warmup_left;
-            attempts = ts.ts_attempts;
-            backoff_left = ts.ts_backoff_left;
-            degrade_flagged = ts.ts_degrade_flagged;
-          }
-    | S_configured cs ->
-        Configured
-          {
-            best = Array.copy cs.cs_best;
-            ref_ipc = cs.cs_ref_ipc;
-            exits = cs.cs_exits;
-            sampling = cs.cs_sampling;
-            confirming = cs.cs_confirming;
-          }
-    | S_quarantined q -> Quarantined { best = Array.copy q.qs_best }
-  in
-  {
-    params;
-    res = resilience;
-    configs;
-    phase;
-    rounds = s.s_rounds;
-    tested_last_round = s.s_tested_last_round;
-    total_exits = s.s_total_exits;
-    retune_exits = s.s_retune_exits;
-    retries = s.s_retries;
-    backoff_skips = s.s_backoff_skips;
-    skipped_configs = s.s_skipped_configs;
-    verify_failures = s.s_verify_failures;
-    mt = make_meters obs id;
-  }
+type tuner = t
+
+let codec =
+  let open Ace_util.Codec in
+  let+ phase = field phase_codec (fun t -> t.phase)
+  and+ rounds = field int (fun t -> t.rounds)
+  and+ tested_last_round = field int (fun t -> t.tested_last_round)
+  and+ total_exits = field int (fun t -> t.total_exits)
+  and+ retune_exits = field (list int) (fun t -> t.retune_exits)
+  and+ retries = field int (fun (t : tuner) -> t.retries)
+  and+ backoff_skips = field int (fun (t : tuner) -> t.backoff_skips)
+  and+ skipped_configs = field int (fun (t : tuner) -> t.skipped_configs)
+  and+ verify_failures = field int (fun (t : tuner) -> t.verify_failures) in
+  { params = default_params; res = no_resilience; configs = [||]; phase; rounds;
+    tested_last_round; total_exits; retune_exits; retries; backoff_skips;
+    skipped_configs; verify_failures; mt = unattached }
+
+let rebuild ?(resilience = no_resilience) ?(obs = Obs.null) ?(id = -1) params
+    ~configs t =
+  if Array.length configs = 0 then invalid_arg "Tuner.rebuild: empty configuration list";
+  (match t.phase with
+  | Tuning ts when ts.next < 0 || ts.next > Array.length configs ->
+      Ace_util.Codec.fail "tuning index %d outside %d configurations" ts.next
+        (Array.length configs)
+  | Tuning _ | Configured _ | Quarantined _ -> ());
+  { t with params; res = resilience; configs; mt = make_meters obs id }

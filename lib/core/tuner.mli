@@ -160,61 +160,34 @@ type stats = {
 
 val stats : t -> stats
 
-(** {2 Checkpoint capture / restore}
+(** A configuration and the energy and IPC measured under it. *)
+type measurement = { config : int array; energy : float; ipc : float }
 
-    Pure-data image of the tuner's FSM.  [params], [resilience] and the
-    configuration list are construction-time inputs, recomputed by the caller
-    at restore time rather than serialized. *)
+val select : performance_threshold:float -> measurement list -> measurement
+(** The most energy-efficient measurement whose IPC is within
+    [performance_threshold] of the best measured IPC (the whole list when
+    none is).  The list must not be empty. *)
 
-type measurement_state = { ms_config : int array; ms_energy : float; ms_ipc : float }
+(** {2 Checkpoints}
 
-type tuning_phase_state = {
-  ts_next : int;
-  ts_pending : bool;
-  ts_measurements : measurement_state list;
-  ts_acc_energy : float;
-  ts_acc_ipc : float;
-  ts_acc_n : int;
-  ts_acc_samples : (float * float) list;
-  ts_warmup_left : int;
-  ts_attempts : int;
-  ts_backoff_left : int;
-  ts_degrade_flagged : bool;
-}
+    The FSM is plain data.  [params], [resilience] and the configuration
+    list are construction-time inputs, recomputed by the caller rather than
+    serialized. *)
 
-type phase_state =
-  | S_tuning of tuning_phase_state
-  | S_configured of {
-      cs_best : int array;
-      cs_ref_ipc : float;
-      cs_exits : int;
-      cs_sampling : bool;
-      cs_confirming : bool;
-    }
-  | S_quarantined of { qs_best : int array }
+val measurement_codec : measurement Ace_util.Codec.t
 
-type state = {
-  s_phase : phase_state;
-  s_rounds : int;
-  s_tested_last_round : int;
-  s_total_exits : int;
-  s_retune_exits : int list;
-  s_retries : int;
-  s_backoff_skips : int;
-  s_skipped_configs : int;
-  s_verify_failures : int;
-}
+val codec : t Ace_util.Codec.t
+(** Writes the FSM; reads a tuner that must be passed through {!rebuild}
+    before use. *)
 
-val capture : t -> state
-
-val restore :
+val rebuild :
   ?resilience:resilience ->
   ?obs:Ace_obs.Obs.t ->
   ?id:int ->
   params ->
   configs:int array array ->
-  state ->
+  t ->
   t
-(** Rebuild a tuner from a captured state.
-    @raise Invalid_argument if [configs] is empty or the state's indices fall
-    outside it. *)
+(** A read tuner completed with its construction-time inputs.
+    @raise Ace_util.Codec.Error if its tuning index falls outside [configs].
+    @raise Invalid_argument if [configs] is empty. *)

@@ -279,73 +279,32 @@ let maybe_corrupt_snapshot t buf =
       end
       else false
 
-(* {2 Checkpoint capture / restore} *)
+(* {2 Checkpoints} *)
 
-type latch_state = { ls_cu : string; ls_until : int option }
+(* A latch is its expiry, [None] for a permanent one; the table is written
+   sorted by CU name. *)
+let latched_codec =
+  let open Ace_util.Codec in
+  pair string
+    (conv
+       (function Stuck_forever -> None | Stuck_until n -> Some n)
+       (function None -> Stuck_forever | Some n -> Stuck_until n)
+       (option int))
 
-type state = {
-  s_rng : int64;
-  s_ckpt_rng : int64;
-  s_latched : latch_state array;  (* sorted by CU name *)
-  s_writes_dropped : int;
-  s_writes_corrupted : int;
-  s_stuck_events : int;
-  s_spikes : int;
-  s_jittered_ticks : int;
-  s_snapshots_corrupted : int;
-}
-
-let capture t =
-  Option.map
-    (fun a ->
-      let latched =
-        Hashtbl.fold
-          (fun cu latch acc ->
-            {
-              ls_cu = cu;
-              ls_until =
-                (match latch with
-                | Stuck_forever -> None
-                | Stuck_until n -> Some n);
-            }
-            :: acc)
-          a.latched []
-        |> List.sort compare |> Array.of_list
-      in
-      {
-        s_rng = Rng.to_state a.rng;
-        s_ckpt_rng = Rng.to_state a.ckpt_rng;
-        s_latched = latched;
-        s_writes_dropped = a.writes_dropped;
-        s_writes_corrupted = a.writes_corrupted;
-        s_stuck_events = a.stuck_events;
-        s_spikes = a.spikes;
-        s_jittered_ticks = a.jittered_ticks;
-        s_snapshots_corrupted = a.snapshots_corrupted;
-      })
+let sync io t =
+  let open Ace_util.Codec in
+  sync_option io
+    (fun io a ->
+      Rng.sync io a.rng;
+      Rng.sync io a.ckpt_rng;
+      sync_hashtbl io latched_codec a.latched;
+      a.writes_dropped <- sync io int a.writes_dropped;
+      a.writes_corrupted <- sync io int a.writes_corrupted;
+      a.stuck_events <- sync io int a.stuck_events;
+      a.spikes <- sync io int a.spikes;
+      a.jittered_ticks <- sync io int a.jittered_ticks;
+      a.snapshots_corrupted <- sync io int a.snapshots_corrupted)
     t
-
-let restore t s =
-  match (t, s) with
-  | None, None -> ()
-  | Some a, Some s ->
-      Rng.set_state a.rng s.s_rng;
-      Rng.set_state a.ckpt_rng s.s_ckpt_rng;
-      Hashtbl.reset a.latched;
-      Array.iter
-        (fun l ->
-          Hashtbl.replace a.latched l.ls_cu
-            (match l.ls_until with
-            | None -> Stuck_forever
-            | Some n -> Stuck_until n))
-        s.s_latched;
-      a.writes_dropped <- s.s_writes_dropped;
-      a.writes_corrupted <- s.s_writes_corrupted;
-      a.stuck_events <- s.s_stuck_events;
-      a.spikes <- s.s_spikes;
-      a.jittered_ticks <- s.s_jittered_ticks;
-      a.snapshots_corrupted <- s.s_snapshots_corrupted
-  | _ -> invalid_arg "Faults.restore: injector/state noneness mismatch"
 
 (* The storage-I/O stream is host-side, like the checkpoint-corruption
    stream, but lives entirely outside [t]: filesystem faults hit the

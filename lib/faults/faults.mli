@@ -139,33 +139,17 @@ val storage_io : ?seed:int -> rate:float -> Ace_util.Io.t -> Ace_util.Io.t
     [seed] (default 2005, matching {!create}) — distinct from both the
     engine stream and the checkpoint-corruption stream, so storage faults
     never perturb the simulated fault schedule.  Deliberately stateless
-    with respect to {!t} and absent from {!state}: filesystem faults hit
+    with respect to {!t} and absent from its checkpoints: filesystem faults hit
     the host around the simulation, not the simulated machine, so they are
     not part of snapshot state. *)
 
-(** {2 Checkpoint capture / restore}
+(** {2 Checkpoints}
 
-    The injector's own RNG stream and latch table are part of the simulator
+    The injector's own RNG streams and latch table are part of the simulator
     state: a resumed run must see the identical fault schedule. *)
 
-type latch_state = { ls_cu : string; ls_until : int option }
-(** One latched CU; [ls_until = None] means a permanent latch-up. *)
-
-type state = {
-  s_rng : int64;
-  s_ckpt_rng : int64;  (** The storage-channel stream. *)
-  s_latched : latch_state array;  (** Sorted by CU name. *)
-  s_writes_dropped : int;
-  s_writes_corrupted : int;
-  s_stuck_events : int;
-  s_spikes : int;
-  s_jittered_ticks : int;
-  s_snapshots_corrupted : int;
-}
-
-val capture : t -> state option
-(** [None] for {!none}. *)
-
-val restore : t -> state option -> unit
-(** @raise Invalid_argument if exactly one of injector and state is the
-    fault-free [None]. *)
+val sync : Ace_util.Codec.io -> t -> unit
+(** Both RNG streams, the latch table and the event counters; {!none}
+    writes an empty option.
+    @raise Ace_util.Codec.Error when reading an injector's state into
+    {!none}, or nothing into an injector. *)

@@ -88,17 +88,10 @@ let compute_variant t w variant =
       Run.run ~scale:t.scale ~seed:t.seed ?sample:t.sample
         ~bbv_prediction:true w Scheme.Bbv
   | Faulty { scheme; rate; resilient } ->
-      let framework_config =
-        if resilient then
-          {
-            Ace_core.Framework.default_config with
-            resilience = Ace_core.Tuner.default_resilience;
-          }
-        else Ace_core.Framework.default_config
-      in
       (* Sampling under faults is only safe with the resilience machinery
          (mirrors the CLI's --sample/--faults/--resilient rule). *)
-      Run.run ~scale:t.scale ~seed:t.seed ~framework_config
+      Run.run ~scale:t.scale ~seed:t.seed
+        ~framework_config:(Ace_core.Framework.config_for ~resilient)
         ?sample:(if resilient then t.sample else None)
         ~faults:(Ace_faults.Faults.preset ~rate) w scheme
 

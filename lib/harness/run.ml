@@ -307,6 +307,17 @@ let scheme_of_snap = function
   | Snapshot.Hotspot -> Scheme.Hotspot
   | Snapshot.Bbv -> Scheme.Bbv
 
+(* A run rebuilt from snapshot metadata: what a checkpoint writes, and
+   what a resume continues. *)
+type resumed = {
+  meta : Snapshot.meta;
+  engine : Engine.t;
+  faults : Faults.t;
+  attached : attached;
+  sampler : Sample.t option;
+  obs : Obs.t;
+}
+
 (* Rebuild every construction-time input from snapshot metadata.  Both the
    fresh checkpointed run and a resume go through this one function, so a
    resumed run is built from exactly the inputs the original was. *)
@@ -346,34 +357,59 @@ let instance_of_meta ~obs (m : Snapshot.meta) =
       ~interval:(Some interval)
   in
   let engine = Engine.create ~config:cfg ~faults ~obs program in
-  let framework_config =
-    if m.Snapshot.resilient then
-      {
-        Framework.default_config with
-        Framework.resilience = Ace_core.Tuner.default_resilience;
-      }
-    else Framework.default_config
-  in
   let attached =
-    attach_scheme ~framework_config
+    attach_scheme
+      ~framework_config:(Framework.config_for ~resilient:m.Snapshot.resilient)
       ~with_issue_queue:m.Snapshot.with_issue_queue
       ~bbv_prediction:m.Snapshot.bbv_prediction ~faults ~obs engine scheme
   in
   let sampler =
     attach_sample ~sample:m.Snapshot.sample ~faults ~obs engine attached
   in
-  (engine, faults, attached, sampler)
+  { meta = m; engine; faults; attached; sampler; obs }
 
-let capture_scheme = function
-  | A_baseline -> Snapshot.S_baseline
-  | A_hotspot fw -> Snapshot.S_hotspot (Framework.capture fw)
-  | A_bbv sch -> Snapshot.S_bbv (Ace_bbv.Scheme.capture sch)
+let scheme_tag = Ace_util.Codec.enum "scheme state" Snapshot.[ Baseline; Hotspot; Bbv ]
+
+(* The body: every stateful module's [sync], in format order.  The scheme
+   section is tagged, and the tag must be the scheme the meta rebuilt. *)
+let sync io r =
+  let open Ace_util.Codec in
+  Engine.sync io r.engine;
+  Faults.sync io r.faults;
+  if sync io scheme_tag r.meta.Snapshot.scheme <> r.meta.Snapshot.scheme then
+    fail "scheme state does not match metadata";
+  (match r.attached with
+  | A_baseline -> ()
+  | A_hotspot fw -> Framework.sync io fw
+  | A_bbv sch -> Ace_bbv.Scheme.sync io sch);
+  Obs.sync io r.obs;
+  sync_option io Sample.sync r.sampler
+
+let capture r =
+  { Snapshot.meta = r.meta; body = Ace_util.Codec.save (fun io -> sync io r) }
+
+let restore ?(obs = Obs.null) (snap : Snapshot.t) =
+  let r =
+    try instance_of_meta ~obs snap.Snapshot.meta
+    with Invalid_argument msg -> raise (Snapshot.Error (Snapshot.Malformed msg))
+  in
+  (* Read after attach: schemes set ILP/exposure scales when attaching, and
+     the engine's section must overwrite them.  The observability image
+     rides in the body, so a resumed run picks up its counters and
+     timeline where the killed run left them. *)
+  Snapshot.read_body snap (fun io -> sync io r);
+  r
+
+let restore_latest ?io ?obs ~path () = Snapshot.with_fallback ?io ~path (restore ?obs)
+let engine r = r.engine
+let sampler r = r.sampler
 
 (* Wrap [on_interval] — after the scheme attached, so the scheme's own hook
    runs first and the captured state is the post-hook state the resumed run
    would also see. *)
 let install_checkpointing ?(io = Io.real) ?kill_after ?on_snapshot ?on_boundary
-    ~path ~obs (m : Snapshot.meta) engine faults attached sampler =
+    ~path r =
+  let m = r.meta in
   let interval =
     match scheme_of_snap m.Snapshot.scheme with
     | Scheme.Bbv -> bbv_interval
@@ -382,7 +418,7 @@ let install_checkpointing ?(io = Io.real) ?kill_after ?on_snapshot ?on_boundary
   let every_k =
     max 1 ((m.Snapshot.checkpoint_every + interval - 1) / interval)
   in
-  let hooks = Engine.hooks engine in
+  let hooks = Engine.hooks r.engine in
   let prev = hooks.Engine.on_interval in
   hooks.Engine.on_interval <-
     (fun ~total_instrs ->
@@ -391,24 +427,21 @@ let install_checkpointing ?(io = Io.real) ?kill_after ?on_snapshot ?on_boundary
       | Some n when total_instrs >= n -> raise (Killed total_instrs)
       | _ -> ());
       if total_instrs / interval mod every_k = 0 then begin
-        let snap =
-          {
-            Snapshot.meta = m;
-            engine = Engine.capture engine;
-            faults = Faults.capture faults;
-            scheme_state = capture_scheme attached;
-            obs = Obs.capture obs;
-            sample_state = Option.map Sample.capture sampler;
-          }
-        in
+        let snap = capture r in
         (match on_snapshot with Some f -> f snap | None -> ());
-        Snapshot.write ~io ~faults ~obs ~path snap
+        Snapshot.write ~io ~faults:r.faults ~obs:r.obs ~path snap
       end;
       (* After the snapshot block, so anything [on_boundary] does to stop
          the run (drain, deadline, chaos kill) finds this boundary's
          snapshot already on disk — every life of a supervised job is
          guaranteed to have made checkpointable progress. *)
       match on_boundary with Some f -> f ~total_instrs | None -> ())
+
+let finish r =
+  finish_run ~name:r.meta.Snapshot.workload
+    ~scheme:(scheme_of_snap r.meta.Snapshot.scheme)
+    ~engine:r.engine ~faults:r.faults ~obs:r.obs ~attached:r.attached
+    ~sampler:r.sampler
 
 let run_checkpointed ?io ?(scale = 1.0) ?(seed = 1)
     ?(hot_threshold = default_hot_threshold) ?(with_issue_queue = false)
@@ -432,57 +465,28 @@ let run_checkpointed ?io ?(scale = 1.0) ?(seed = 1)
       sample;
     }
   in
-  let engine, faults, attached, sampler = instance_of_meta ~obs meta in
-  install_checkpointing ?io ?kill_after ?on_snapshot ?on_boundary ~path ~obs
-    meta engine faults attached sampler;
-  match Engine.run engine with
-  | () ->
-      Completed
-        (finish_run ~name:meta.Snapshot.workload ~scheme ~engine ~faults ~obs
-           ~attached ~sampler)
+  let r = instance_of_meta ~obs meta in
+  install_checkpointing ?io ?kill_after ?on_snapshot ?on_boundary ~path r;
+  match Engine.run r.engine with
+  | () -> Completed (finish r)
   | exception Killed n -> Killed_at n
 
-let resume_from_snapshot ?io ?kill_after ?on_snapshot ?on_boundary ?path
-    ?(obs = Obs.null) (snap : Snapshot.t) =
-  let m = snap.Snapshot.meta in
-  let engine, faults, attached, sampler = instance_of_meta ~obs m in
-  (* Restore after attach: schemes set ILP/exposure scales when attaching,
-     and [Engine.restore] must overwrite them with the checkpointed values. *)
-  Engine.restore engine snap.Snapshot.engine;
-  Faults.restore faults snap.Snapshot.faults;
-  (match (attached, snap.Snapshot.scheme_state) with
-  | A_baseline, Snapshot.S_baseline -> ()
-  | A_hotspot fw, Snapshot.S_hotspot s -> Framework.restore fw s
-  | A_bbv sch, Snapshot.S_bbv s -> Ace_bbv.Scheme.restore sch s
-  | _ -> invalid_arg "Run.resume: scheme state does not match metadata");
-  (match (sampler, snap.Snapshot.sample_state) with
-  | Some sam, Some s -> Sample.restore sam s
-  | None, None -> ()
-  | _ -> invalid_arg "Run.resume: sampler state does not match metadata");
-  (* The observability image rides in the snapshot, so a resumed run picks
-     up its counters and timeline where the killed run left them.  The
-     [Ckpt_restore] marker is ring-only (never a metric): the metrics
-     summary of a resumed run must stay byte-identical to an uninterrupted
-     one. *)
-  Obs.restore obs snap.Snapshot.obs;
-  if Obs.tracing obs then
-    Obs.record obs (Obs.Ckpt_restore { instrs = Engine.instrs engine });
-  (match path with
-  | Some path ->
-      install_checkpointing ?io ?kill_after ?on_snapshot ?on_boundary ~path
-        ~obs m engine faults attached sampler
-  | None -> ());
-  match Engine.resume engine with
-  | () ->
-      Completed
-        (finish_run ~name:m.Snapshot.workload
-           ~scheme:(scheme_of_snap m.Snapshot.scheme)
-           ~engine ~faults ~obs ~attached ~sampler)
+let continue ?io ?kill_after ?on_snapshot ?on_boundary ?path r =
+  (* Ring-only (never a metric): the metrics summary of a resumed run must
+     stay byte-identical to an uninterrupted one. *)
+  if Obs.tracing r.obs then
+    Obs.record r.obs (Obs.Ckpt_restore { instrs = Engine.instrs r.engine });
+  Option.iter
+    (fun path -> install_checkpointing ?io ?kill_after ?on_snapshot ?on_boundary ~path r)
+    path;
+  match Engine.resume r.engine with
+  | () -> Completed (finish r)
   | exception Killed n -> Killed_at n
+
+let resume_from_snapshot ?io ?kill_after ?on_snapshot ?on_boundary ?path ?obs snap =
+  continue ?io ?kill_after ?on_snapshot ?on_boundary ?path (restore ?obs snap)
 
 let resume_run ?io ?kill_after ?on_boundary ?obs ~path () =
-  match Snapshot.read_with_fallback ?io ~path () with
-  | None -> None
-  | Some (snap, which) ->
-      Some
-        (resume_from_snapshot ?io ?kill_after ?on_boundary ?obs ~path snap, which)
+  Option.map
+    (fun (r, which) -> (continue ?io ?kill_after ?on_boundary ~path r, which))
+    (restore_latest ?io ?obs ~path ())

@@ -139,17 +139,62 @@ val run_checkpointed :
     [kill_after] simulates a crash: the run stops with [Killed_at] at the
     first interval boundary at or past it (before writing that boundary's
     snapshot).  [on_snapshot] observes every snapshot just before it is
-    written (the determinism oracle collects them).  [on_boundary] runs at
+    written, after the run has been serialized into it (the determinism
+    oracle collects them).  [on_boundary] runs at
     every interval boundary {e after} any snapshot due at that boundary has
     been written — the serve daemon's drain, deadline and chaos-kill checks
     live there, so stopping a run through it always leaves a snapshot of
     the progress already made.  Any exception it raises aborts the run and
-    propagates to the caller.  [obs] state is captured into every snapshot,
+    propagates to the caller.  [obs] state is written into every snapshot,
     so a later resume continues the same metrics and timeline.  All
     snapshot filesystem traffic goes through [io] (default
     [Ace_util.Io.real]) — the torture harness substitutes crash-point and
     fault backends here.
     @raise Invalid_argument if [checkpoint_every] is not positive. *)
+
+type resumed
+(** A run rebuilt from a snapshot's metadata with its body read back in:
+    a live mid-run state, ready to {!continue}. *)
+
+val restore : ?obs:Ace_obs.Obs.t -> Ace_ckpt.Snapshot.t -> resumed
+(** Rebuild the run the snapshot's metadata describes and read the body
+    into it.  The snapshot's observability image is loaded into [obs]
+    (metrics resume their counts; a [Full] sink also gets the ring back),
+    so the exported summary of a killed-and-resumed run is byte-identical
+    to an uninterrupted one, and {!capture} of the result is the
+    snapshot.
+    @raise Ace_ckpt.Snapshot.Error [(Malformed _)] if the metadata names
+    no registered workload or the body does not restore — never another
+    exception, whatever the body's bytes. *)
+
+val restore_latest :
+  ?io:Ace_util.Io.t ->
+  ?obs:Ace_obs.Obs.t ->
+  path:string ->
+  unit ->
+  (resumed * [ `Primary | `Fallback ]) option
+(** {!restore} the snapshot at [path], falling back to [path.1] when the
+    newest one is truncated, fails its CRC or does not restore (e.g. under
+    injected storage faults).  [None] when neither restores. *)
+
+val capture : resumed -> Ace_ckpt.Snapshot.t
+(** The snapshot the run would write now. *)
+
+val engine : resumed -> Ace_vm.Engine.t
+val sampler : resumed -> Ace_sample.Sample.t option
+
+val continue :
+  ?io:Ace_util.Io.t ->
+  ?kill_after:int ->
+  ?on_snapshot:(Ace_ckpt.Snapshot.t -> unit) ->
+  ?on_boundary:(total_instrs:int -> unit) ->
+  ?path:string ->
+  resumed ->
+  ckpt_outcome
+(** Continue a restored run to completion, first recording a ring-only
+    [Ckpt_restore] marker on a [Full] sink.  With [path] set it keeps
+    writing checkpoints there (and honours [kill_after]); without it this
+    is a pure replay. *)
 
 val resume_from_snapshot :
   ?io:Ace_util.Io.t ->
@@ -160,14 +205,8 @@ val resume_from_snapshot :
   ?obs:Ace_obs.Obs.t ->
   Ace_ckpt.Snapshot.t ->
   ckpt_outcome
-(** Rebuild the run described by the snapshot's metadata, restore the
-    captured state, and continue to completion.  With [path] set, the
-    resumed run keeps writing checkpoints there (and honours [kill_after]);
-    without it this is a pure replay.  The snapshot's observability image is
-    loaded into [obs] (metrics resume their counts; a [Full] sink also gets
-    the ring back plus a ring-only [Ckpt_restore] marker), so the exported
-    summary of a killed-and-resumed run is byte-identical to an
-    uninterrupted one. *)
+(** {!restore}, then {!continue}.
+    @raise Ace_ckpt.Snapshot.Error as {!restore} does. *)
 
 val resume_run :
   ?io:Ace_util.Io.t ->
@@ -177,7 +216,6 @@ val resume_run :
   path:string ->
   unit ->
   (ckpt_outcome * [ `Primary | `Fallback ]) option
-(** Resume from the snapshot at [path], falling back to [path.1] when the
-    newest snapshot is truncated or fails its CRC (e.g. under injected
-    storage faults).  [None] when neither file holds a good snapshot — the
-    caller restarts from scratch. *)
+(** {!restore_latest}, then {!continue} writing checkpoints to [path].
+    [None] when neither file holds a snapshot that restores — the caller
+    restarts from scratch. *)

@@ -31,13 +31,10 @@ let reset c =
   c.offset <- 0;
   c.steps <- 0
 
-type cursor_state = { s_offset : int; s_steps : int }
-
-let capture c = { s_offset = c.offset; s_steps = c.steps }
-
-let restore c s =
-  c.offset <- s.s_offset;
-  c.steps <- s.s_steps
+let sync io c =
+  let open Ace_util.Codec in
+  c.offset <- sync io int c.offset;
+  c.steps <- sync io int c.steps
 
 (* Cheap integer hash for the pointer-chase walk (finalizer of splitmix64,
    truncated to OCaml's int). *)

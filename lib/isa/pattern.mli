@@ -55,12 +55,6 @@ val skip : cursor -> rng:Ace_util.Rng.t -> int -> unit
     [Pointer_chase].  Fast-forward simulation uses this to keep
     architectural state bit-identical to a full run. *)
 
-(** Iteration position without the (statically known) pattern, for
-    checkpoint serialization. *)
-type cursor_state = { s_offset : int; s_steps : int }
-
-val capture : cursor -> cursor_state
-
-val restore : cursor -> cursor_state -> unit
-(** Overwrite the cursor's position.  The caller must pair states with the
-    cursors they were captured from (the engine keys both by block id). *)
+val sync : Ace_util.Codec.io -> cursor -> unit
+(** The iteration position without the (statically known) pattern, for
+    checkpoints.  The engine pairs positions with cursors by block id. *)

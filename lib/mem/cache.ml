@@ -224,58 +224,29 @@ let splice t ~accesses ~hits ~writebacks =
   t.n_hits <- t.n_hits + hits;
   t.n_writebacks <- t.n_writebacks + writebacks
 
-type state = {
-  s_size_bytes : int;
-  s_tags : int array;
-  s_dirty : bool array;
-  s_stamp : int array;
-  s_clock : int;
-  s_last_victim : int;
-  s_accesses : int;
-  s_hits : int;
-  s_writebacks : int;
-  s_flush_writebacks : int;
-  s_resizes : int;
-}
-
-let capture t =
-  {
-    s_size_bytes = t.cfg.size_bytes;
-    s_tags = Array.copy t.tags;
-    s_dirty = Array.copy t.dirty;
-    s_stamp = Array.copy t.stamp;
-    s_clock = t.clock;
-    s_last_victim = t.last_victim;
-    s_accesses = t.n_accesses;
-    s_hits = t.n_hits;
-    s_writebacks = t.n_writebacks;
-    s_flush_writebacks = t.n_flush_writebacks;
-    s_resizes = t.n_resizes;
-  }
-
-let restore t s =
-  let cfg = { t.cfg with size_bytes = s.s_size_bytes } in
-  if not (config_valid cfg) then
-    invalid_arg "Cache.restore: invalid geometry in state";
-  let slots = cfg.size_bytes / cfg.line_bytes in
-  if
-    Array.length s.s_tags <> slots
-    || Array.length s.s_dirty <> slots
-    || Array.length s.s_stamp <> slots
-  then invalid_arg "Cache.restore: state arrays do not match geometry";
-  t.cfg <- cfg;
-  t.sets <- cfg.size_bytes / (cfg.assoc * cfg.line_bytes);
-  t.line_shift <- log2 cfg.line_bytes;
-  t.tags <- Array.copy s.s_tags;
-  t.dirty <- Array.copy s.s_dirty;
-  t.stamp <- Array.copy s.s_stamp;
-  t.clock <- s.s_clock;
-  t.last_victim <- s.s_last_victim;
-  t.n_accesses <- s.s_accesses;
-  t.n_hits <- s.s_hits;
-  t.n_writebacks <- s.s_writebacks;
-  t.n_flush_writebacks <- s.s_flush_writebacks;
-  t.n_resizes <- s.s_resizes
+let sync io t =
+  let open Ace_util.Codec in
+  let size_bytes = sync io int t.cfg.size_bytes in
+  if size_bytes <> t.cfg.size_bytes then begin
+    let cfg = { t.cfg with size_bytes } in
+    (* Every slot costs at least one byte of input: a size beyond that is
+       corruption, not a cache to allocate. *)
+    if not (config_valid cfg) || size_bytes / cfg.line_bytes > room io then
+      fail "cache size %d does not fit a %d-way cache of %dB lines" size_bytes
+        cfg.assoc cfg.line_bytes;
+    t.cfg <- cfg;
+    allocate t
+  end;
+  sync_array io int t.tags;
+  sync_array io bool t.dirty;
+  sync_array io int t.stamp;
+  t.clock <- sync io int t.clock;
+  t.last_victim <- sync io int t.last_victim;
+  t.n_accesses <- sync io int t.n_accesses;
+  t.n_hits <- sync io int t.n_hits;
+  t.n_writebacks <- sync io int t.n_writebacks;
+  t.n_flush_writebacks <- sync io int t.n_flush_writebacks;
+  t.n_resizes <- sync io int t.n_resizes
 
 module Stats = struct
   let accesses t = t.n_accesses

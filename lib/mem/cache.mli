@@ -89,30 +89,12 @@ val splice : t -> accesses:int -> hits:int -> writebacks:int -> unit
     contents (resident lines, LRU clock) are untouched; used by
     fast-forward simulation to account for a skipped phase. *)
 
-(** Complete cache state — geometry (current size), array contents, LRU
-    clock and counters — for checkpoint serialization. *)
-type state = {
-  s_size_bytes : int;
-  s_tags : int array;
-  s_dirty : bool array;
-  s_stamp : int array;
-  s_clock : int;
-  s_last_victim : int;
-  s_accesses : int;
-  s_hits : int;
-  s_writebacks : int;
-  s_flush_writebacks : int;
-  s_resizes : int;
-}
-
-val capture : t -> state
-(** A deep copy of the cache's current state. *)
-
-val restore : t -> state -> unit
-(** Overwrite [t] (same associativity and line size as at capture) with a
-    captured state, including its possibly different current capacity.
-    @raise Invalid_argument if the state is inconsistent with the cache's
-    fixed geometry parameters. *)
+val sync : Ace_util.Codec.io -> t -> unit
+(** Current capacity, array contents, LRU clock and counters, for
+    checkpoints.  Reading may change the capacity (associativity and line
+    size stay those of [t]) and refuses a capacity that is not a valid
+    geometry or that the remaining input cannot fill.
+    @raise Ace_util.Codec.Error on a state [t] cannot hold. *)
 
 (** Cumulative counters since [create]. *)
 module Stats : sig

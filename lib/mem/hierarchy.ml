@@ -21,7 +21,7 @@ type t = {
   mutable mem_writebacks : int;
   (* Scratch for [data_access_batch]: miss compaction arrays handed to
      [Cache.access_batch].  Grown geometrically on demand, never shrunk,
-     and deliberately excluded from [capture]/[restore] — their contents
+     and deliberately left out of checkpoints ([sync]) — their contents
      are dead outside one batch call. *)
   mutable miss_addrs : int array;
   mutable miss_victims : int array;
@@ -237,32 +237,32 @@ let splice t (d : counts) =
   t.mem_reads <- t.mem_reads + d.c_mem_reads;
   t.mem_writebacks <- t.mem_writebacks + d.c_mem_writebacks
 
-type state = {
-  s_l1i : Cache.state;
-  s_l1d : Cache.state;
-  s_l2 : Cache.state;
-  s_dtlb : Tlb.state;
-  s_mem_reads : int;
-  s_mem_writebacks : int;
-}
+let counts_codec =
+  let open Ace_util.Codec in
+  let+ c_l1i_accesses = field int (fun c -> c.c_l1i_accesses)
+  and+ c_l1i_hits = field int (fun c -> c.c_l1i_hits)
+  and+ c_l1i_writebacks = field int (fun c -> c.c_l1i_writebacks)
+  and+ c_l1d_accesses = field int (fun c -> c.c_l1d_accesses)
+  and+ c_l1d_hits = field int (fun c -> c.c_l1d_hits)
+  and+ c_l1d_writebacks = field int (fun c -> c.c_l1d_writebacks)
+  and+ c_l2_accesses = field int (fun c -> c.c_l2_accesses)
+  and+ c_l2_hits = field int (fun c -> c.c_l2_hits)
+  and+ c_l2_writebacks = field int (fun c -> c.c_l2_writebacks)
+  and+ c_tlb_accesses = field int (fun c -> c.c_tlb_accesses)
+  and+ c_tlb_misses = field int (fun c -> c.c_tlb_misses)
+  and+ c_mem_reads = field int (fun c -> c.c_mem_reads)
+  and+ c_mem_writebacks = field int (fun c -> c.c_mem_writebacks) in
+  { c_l1i_accesses; c_l1i_hits; c_l1i_writebacks; c_l1d_accesses; c_l1d_hits;
+    c_l1d_writebacks; c_l2_accesses; c_l2_hits; c_l2_writebacks; c_tlb_accesses;
+    c_tlb_misses; c_mem_reads; c_mem_writebacks }
 
-let capture t =
-  {
-    s_l1i = Cache.capture t.l1i;
-    s_l1d = Cache.capture t.l1d;
-    s_l2 = Cache.capture t.l2;
-    s_dtlb = Tlb.capture t.dtlb;
-    s_mem_reads = t.mem_reads;
-    s_mem_writebacks = t.mem_writebacks;
-  }
-
-let restore t s =
-  Cache.restore t.l1i s.s_l1i;
-  Cache.restore t.l1d s.s_l1d;
-  Cache.restore t.l2 s.s_l2;
-  Tlb.restore t.dtlb s.s_dtlb;
-  t.mem_reads <- s.s_mem_reads;
-  t.mem_writebacks <- s.s_mem_writebacks
+let sync io t =
+  Cache.sync io t.l1i;
+  Cache.sync io t.l1d;
+  Cache.sync io t.l2;
+  Tlb.sync io t.dtlb;
+  t.mem_reads <- Ace_util.Codec.(sync io int t.mem_reads);
+  t.mem_writebacks <- Ace_util.Codec.(sync io int t.mem_writebacks)
 
 let pp_config fmt t =
   Format.fprintf fmt "@[<v>L1I: %a@ L1D: %a@ L2:  %a@]" Cache.pp_config

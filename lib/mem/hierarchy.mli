@@ -105,19 +105,9 @@ val splice : t -> counts -> unit
     skipped phase this way so energy accounting (which reads these
     counters) stays consistent. *)
 
-(** All four structures plus memory-traffic counters, for checkpoint
-    serialization. *)
-type state = {
-  s_l1i : Cache.state;
-  s_l1d : Cache.state;
-  s_l2 : Cache.state;
-  s_dtlb : Tlb.state;
-  s_mem_reads : int;
-  s_mem_writebacks : int;
-}
+val counts_codec : counts Ace_util.Codec.t
 
-val capture : t -> state
-
-val restore : t -> state -> unit
-(** Overwrite a freshly created hierarchy, including the caches' current
-    (possibly downsized) capacities. *)
+val sync : Ace_util.Codec.io -> t -> unit
+(** All four structures plus the memory-traffic counters, for checkpoints;
+    reading restores the caches' current (possibly downsized) capacities.
+    @raise Ace_util.Codec.Error on a state the hierarchy cannot hold. *)

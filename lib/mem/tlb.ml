@@ -115,45 +115,39 @@ let splice t ~accesses ~misses =
   t.n_accesses <- t.n_accesses + accesses;
   t.n_misses <- t.n_misses + misses
 
-type state = {
-  s_resident : int array;  (* pages currently mapped, in no particular order *)
-  s_fifo : int array;
-  s_head : int;
-  s_filled : int;
-  s_accesses : int;
-  s_misses : int;
-}
-
-let capture t =
-  (* Sorted so that capturing twice from identical simulator states yields
-     identical bytes (probe-table slot order is an artifact). *)
-  let resident = Array.make t.filled 0 in
-  let j = ref 0 in
-  Array.iter
-    (fun v ->
-      if v >= 0 then begin
-        resident.(!j) <- v;
-        incr j
-      end)
-    t.table;
-  Array.sort compare resident;
-  {
-    s_resident = resident;
-    s_fifo = Array.copy t.fifo;
-    s_head = t.head;
-    s_filled = t.filled;
-    s_accesses = t.n_accesses;
-    s_misses = t.n_misses;
-  }
-
-let restore t s =
-  if Array.length s.s_fifo <> t.entries then
-    invalid_arg "Tlb.restore: fifo length does not match geometry";
-  Array.fill t.table 0 (Array.length t.table) empty;
-  t.tombs <- 0;
-  Array.iter (fun page -> insert t page) s.s_resident;
-  Array.blit s.s_fifo 0 t.fifo 0 t.entries;
-  t.head <- s.s_head;
-  t.filled <- s.s_filled;
-  t.n_accesses <- s.s_accesses;
-  t.n_misses <- s.s_misses
+(* The resident set is written sorted: probe-table slot order is an
+   artifact, and equal simulator states must write equal bytes.  Reading
+   rebuilds the probe table from it; the count bound keeps [insert] from
+   probing a full table forever. *)
+let sync io t =
+  let open Ace_util.Codec in
+  if reading io then begin
+    let n = sync_length io 0 in
+    if n > t.entries then fail "%d resident pages in a %d-entry TLB" n t.entries;
+    Array.fill t.table 0 (Array.length t.table) empty;
+    t.tombs <- 0;
+    for _ = 1 to n do
+      let page = sync io int 0 in
+      if page < 0 then fail "negative resident page %d" page;
+      insert t page
+    done
+  end
+  else begin
+    let resident = Array.make t.filled 0 and j = ref 0 in
+    Array.iter
+      (fun v ->
+        if v >= 0 then begin
+          resident.(!j) <- v;
+          incr j
+        end)
+      t.table;
+    Array.sort compare resident;
+    sync_array io int resident
+  end;
+  sync_array io int t.fifo;
+  t.head <- sync io int t.head;
+  t.filled <- sync io int t.filled;
+  if t.head < 0 || t.head >= t.entries || t.filled < 0 || t.filled > t.entries then
+    fail "TLB ring position %d/%d outside %d entries" t.head t.filled t.entries;
+  t.n_accesses <- sync io int t.n_accesses;
+  t.n_misses <- sync io int t.n_misses

@@ -24,18 +24,9 @@ val splice : t -> accesses:int -> misses:int -> unit
 (** Add memoized counter deltas without performing accesses (resident pages
     untouched); used by fast-forward simulation. *)
 
-(** Resident-page set, FIFO ring and counters, for checkpoint
-    serialization. *)
-type state = {
-  s_resident : int array;
-  s_fifo : int array;
-  s_head : int;
-  s_filled : int;
-  s_accesses : int;
-  s_misses : int;
-}
-
-val capture : t -> state
-
-val restore : t -> state -> unit
-(** @raise Invalid_argument if the state's geometry does not match [t]. *)
+val sync : Ace_util.Codec.io -> t -> unit
+(** Resident pages (sorted, so equal states write equal bytes), FIFO ring
+    and counters, for checkpoints.  Reading refuses more resident pages
+    than entries, a FIFO of another length, and a head or fill count
+    outside the ring.
+    @raise Ace_util.Codec.Error on a state [t] cannot hold. *)

@@ -119,14 +119,18 @@ let gauge t name =
       if enabled t then Hashtbl.add t.gauges name g;
       g
 
+let increasing bounds =
+  let ok = ref (Array.length bounds > 0) in
+  for i = 1 to Array.length bounds - 1 do
+    if not (bounds.(i) > bounds.(i - 1)) then ok := false
+  done;
+  !ok
+
 let check_bounds name bounds =
   if Array.length bounds = 0 then
     invalid_arg (Printf.sprintf "Obs.histogram %s: empty bounds" name);
-  for i = 1 to Array.length bounds - 1 do
-    if not (bounds.(i) > bounds.(i - 1)) then
-      invalid_arg
-        (Printf.sprintf "Obs.histogram %s: bounds not strictly increasing" name)
-  done
+  if not (increasing bounds) then
+    invalid_arg (Printf.sprintf "Obs.histogram %s: bounds not strictly increasing" name)
 
 let histogram t name ~bounds =
   match Hashtbl.find_opt t.hists name with
@@ -209,73 +213,152 @@ let dropped t = t.n_dropped
 let events t =
   List.init t.len (fun i -> t.buf.((t.start + i) mod t.cap))
 
-(* -- capture / restore ---------------------------------------------- *)
+(* -- checkpoints ------------------------------------------------------ *)
 
-type metrics_state = {
-  ms_counters : (string * int) array;
-  ms_gauges : (string * float) array;
-  ms_hists : (string * float array * int array * int * float) array;
-}
+let kind_codec =
+  let open Ace_util.Codec in
+  let phase_enter = case 0 (pair int string) (fun (id, name) -> Phase_enter { id; name })
+  and phase_exit = case 1 (pair int float) (fun (id, ipc) -> Phase_exit { id; ipc })
+  and promoted =
+    case 2 (pair int string) (fun (id, name) -> Hotspot_promoted { id; name })
+  and recompile = case 3 int (fun id -> Recompile { id })
+  and trial_start = case 4 (pair int string) (fun (id, cfg) -> Trial_start { id; cfg })
+  and trial_result =
+    case 5
+      (pair (pair int string) (pair float float))
+      (fun ((id, cfg), (energy, ipc)) -> Trial_result { id; cfg; energy; ipc })
+  and burn_in = case 6 (pair int int) (fun (id, left) -> Burn_in { id; left })
+  and finished =
+    case 7 (triple int string int) (fun (id, best, tested) ->
+        Tuning_finished { id; best; tested })
+  and drift_sample =
+    case 8 (triple int float float) (fun (id, ipc, ref_ipc) ->
+        Drift_sample { id; ipc; ref_ipc })
+  and retune = case 9 (pair int float) (fun (id, drift) -> Retune { id; drift })
+  and quarantine = case 10 int (fun id -> Quarantine { id })
+  and cu_failed = case 11 string (fun cu -> Cu_failed { cu })
+  and cu_recovered = case 12 string (fun cu -> Cu_recovered { cu })
+  and reconfig =
+    case 13 (triple string string int) (fun (cu, label, flushed) ->
+        Reconfig { cu; label; flushed })
+  and fault = case 14 (pair string string) (fun (cu, what) -> Fault { cu; what })
+  and ckpt_capture = case 15 int (fun bytes -> Ckpt_capture { bytes })
+  and ckpt_restore = case 16 int (fun instrs -> Ckpt_restore { instrs })
+  and job_state = case 17 (pair int string) (fun (id, state) -> Job_state { id; state })
+  and io_fault = case 18 (pair string string) (fun (op, path) -> Io_fault { op; path })
+  and splice = case 19 (pair int int) (fun (id, instrs) -> Phase_splice { id; instrs })
+  in
+  variant "obs event"
+    [
+      Case phase_enter; Case phase_exit; Case promoted; Case recompile; Case trial_start;
+      Case trial_result; Case burn_in; Case finished; Case drift_sample; Case retune;
+      Case quarantine; Case cu_failed; Case cu_recovered; Case reconfig; Case fault;
+      Case ckpt_capture; Case ckpt_restore; Case job_state; Case io_fault; Case splice;
+    ]
+    (fun w -> function
+      | Phase_enter { id; name } -> write w phase_enter (id, name)
+      | Phase_exit { id; ipc } -> write w phase_exit (id, ipc)
+      | Hotspot_promoted { id; name } -> write w promoted (id, name)
+      | Recompile { id } -> write w recompile id
+      | Trial_start { id; cfg } -> write w trial_start (id, cfg)
+      | Trial_result { id; cfg; energy; ipc } ->
+          write w trial_result ((id, cfg), (energy, ipc))
+      | Burn_in { id; left } -> write w burn_in (id, left)
+      | Tuning_finished { id; best; tested } -> write w finished (id, best, tested)
+      | Drift_sample { id; ipc; ref_ipc } -> write w drift_sample (id, ipc, ref_ipc)
+      | Retune { id; drift } -> write w retune (id, drift)
+      | Quarantine { id } -> write w quarantine id
+      | Cu_failed { cu } -> write w cu_failed cu
+      | Cu_recovered { cu } -> write w cu_recovered cu
+      | Reconfig { cu; label; flushed } -> write w reconfig (cu, label, flushed)
+      | Fault { cu; what } -> write w fault (cu, what)
+      | Ckpt_capture { bytes } -> write w ckpt_capture bytes
+      | Ckpt_restore { instrs } -> write w ckpt_restore instrs
+      | Job_state { id; state } -> write w job_state (id, state)
+      | Io_fault { op; path } -> write w io_fault (op, path)
+      | Phase_splice { id; instrs } -> write w splice (id, instrs))
 
-type state = {
-  s_metrics : metrics_state;
-  s_events : event array;
-  s_dropped : int;
-}
+let event_codec =
+  let open Ace_util.Codec in
+  let+ ts = field int (fun ev -> ev.ts)
+  and+ kind = field kind_codec (fun ev -> ev.kind) in
+  { ts; kind }
 
-let sorted_array_of of_entry tbl =
-  let acc = ref [] in
-  Hashtbl.iter (fun _ v -> acc := of_entry v :: !acc) tbl;
-  let a = Array.of_list !acc in
-  Array.sort compare a;
-  a
+let counter_codec =
+  let open Ace_util.Codec in
+  let+ c_name = field string (fun c -> c.c_name)
+  and+ c_value = field int (fun c -> c.c_value) in
+  { c_name; c_value }
 
-let capture t =
-  if t.lvl = Off then None
-  else
-    Some
-      {
-        s_metrics =
-          {
-            ms_counters = sorted_array_of (fun c -> (c.c_name, c.c_value)) t.counters;
-            ms_gauges = sorted_array_of (fun g -> (g.g_name, g.g_value)) t.gauges;
-            ms_hists =
-              sorted_array_of
-                (fun h ->
-                  ( h.h_name,
-                    Array.copy h.h_bounds,
-                    Array.copy h.h_counts,
-                    h.h_total,
-                    h.h_sum ))
-                t.hists;
-          };
-        s_events = Array.of_list (events t);
-        s_dropped = t.n_dropped;
-      }
+let gauge_codec =
+  let open Ace_util.Codec in
+  let+ g_name = field string (fun g -> g.g_name)
+  and+ g_value = field float (fun g -> g.g_value) in
+  { g_name; g_value }
 
-let restore t s =
-  match s with
-  | None -> ()
-  | Some _ when t.lvl = Off -> ()
-  | Some s ->
-      Array.iter
-        (fun (name, v) -> (counter t name).c_value <- v)
-        s.s_metrics.ms_counters;
-      Array.iter
-        (fun (name, v) -> (gauge t name).g_value <- v)
-        s.s_metrics.ms_gauges;
-      Array.iter
-        (fun (name, bounds, counts, total, sum) ->
-          let h = histogram t name ~bounds in
-          let n = min (Array.length counts) (Array.length h.h_counts) in
-          Array.fill h.h_counts 0 (Array.length h.h_counts) 0;
-          Array.blit counts 0 h.h_counts 0 n;
-          h.h_total <- total;
-          h.h_sum <- sum)
-        s.s_metrics.ms_hists;
-      if t.lvl = Full then begin
-        t.start <- 0;
-        t.len <- 0;
-        t.n_dropped <- s.s_dropped;
-        Array.iter (fun ev -> push t ev) s.s_events
-      end
+let histogram_codec =
+  let open Ace_util.Codec in
+  let+ h_name = field string (fun h -> h.h_name)
+  and+ h_bounds = field (array float) (fun h -> h.h_bounds)
+  and+ h_counts = field (array int) (fun h -> h.h_counts)
+  and+ h_total = field int (fun h -> h.h_total)
+  and+ h_sum = field float (fun h -> h.h_sum) in
+  { h_name; h_bounds; h_counts; h_total; h_sum }
+
+(* Registered cells sorted by name; read cells are folded into the live
+   registry (producers hold the live cells), never swapped in. *)
+let sync_cells io codec tbl name fold =
+  let open Ace_util.Codec in
+  let sorted () =
+    List.sort
+      (fun a b -> compare (name a) (name b))
+      (Hashtbl.fold (fun _ c acc -> c :: acc) tbl [])
+  in
+  let cells = sync io (list codec) (if reading io then [] else sorted ()) in
+  if reading io then List.iter fold cells
+
+(* Reading makes the sink the image: cells the image lacks drop to zero, so
+   a half-read image left by a refused snapshot cannot leak into the next. *)
+let clear t =
+  Hashtbl.iter (fun _ c -> c.c_value <- 0) t.counters;
+  Hashtbl.iter (fun _ g -> g.g_value <- 0.0) t.gauges;
+  Hashtbl.iter
+    (fun _ h ->
+      Array.fill h.h_counts 0 (Array.length h.h_counts) 0;
+      h.h_total <- 0;
+      h.h_sum <- 0.0)
+    t.hists;
+  t.start <- 0;
+  t.len <- 0;
+  t.n_dropped <- 0
+
+let sync io t =
+  let open Ace_util.Codec in
+  if sync io bool (t.lvl <> Off) then begin
+    if reading io then clear t;
+    sync_cells io counter_codec t.counters
+      (fun c -> c.c_name)
+      (fun c -> (counter t c.c_name).c_value <- c.c_value);
+    sync_cells io gauge_codec t.gauges
+      (fun g -> g.g_name)
+      (fun g -> (gauge t g.g_name).g_value <- g.g_value);
+    sync_cells io histogram_codec t.hists
+      (fun h -> h.h_name)
+      (fun r ->
+        if not (increasing r.h_bounds) then fail "histogram %s: bad bounds" r.h_name;
+        let h = histogram t r.h_name ~bounds:r.h_bounds in
+        let n = min (Array.length r.h_counts) (Array.length h.h_counts) in
+        Array.blit r.h_counts 0 h.h_counts 0 n;
+        h.h_total <- r.h_total;
+        h.h_sum <- r.h_sum);
+    (* The ring is written in place, oldest first; a [Full] sink takes the
+       events back (truncated to its capacity, counting further drops). *)
+    let n = sync_length io t.len in
+    for i = 0 to n - 1 do
+      let live = if reading io then dummy_event else t.buf.((t.start + i) mod t.cap) in
+      let ev = sync io event_codec live in
+      if reading io && t.lvl = Full then push t ev
+    done;
+    let dropped = sync io int t.n_dropped in
+    if reading io && t.lvl = Full then t.n_dropped <- t.n_dropped + dropped
+  end

@@ -8,9 +8,9 @@
       clock and a timeline can be reconstructed after the fact);
     - a metrics registry of named counters, gauges and fixed-bucket
       histograms, cheap enough to leave always-on;
-    - enough captured state ({!capture}/{!restore}) that a checkpointed run
-      resumed from a snapshot produces the same timeline and metrics as the
-      uninterrupted run.
+    - a checkpoint image ({!sync}) so that a checkpointed run resumed from a
+      snapshot produces the same timeline and metrics as the uninterrupted
+      run.
 
     {2 Cost discipline}
 
@@ -31,8 +31,7 @@
 type level = Off | Metrics | Full
 
 (** The event taxonomy (see DESIGN.md §Observability).  [id] is a method id
-    where applicable; all payloads are plain data so captured states stay
-    structurally comparable. *)
+    where applicable; all payloads are plain data. *)
 type kind =
   | Phase_enter of { id : int; name : string }
       (** A hotspot invocation began (only promoted methods are phases). *)
@@ -166,28 +165,15 @@ val event_count : t -> int
 val dropped : t -> int
 (** Events lost to ring overflow (oldest-first). *)
 
-(** {2 Checkpoint capture / restore}
+(** {2 Checkpoints} *)
 
-    Pure-data snapshot of the sink, serialized into [Ace_ckpt.Snapshot] so
-    a resumed run continues its timeline seamlessly. *)
-
-type metrics_state = {
-  ms_counters : (string * int) array;  (** Sorted by name. *)
-  ms_gauges : (string * float) array;
-  ms_hists : (string * float array * int array * int * float) array;
-}
-
-type state = {
-  s_metrics : metrics_state;
-  s_events : event array;  (** Oldest first. *)
-  s_dropped : int;
-}
-
-val capture : t -> state option
-(** [None] for an [Off] sink (there is nothing to save). *)
-
-val restore : t -> state option -> unit
-(** Load a captured state into a live sink: metrics cells are registered and
-    overwritten; on a [Full] sink the ring is replaced by the captured
-    events (truncated to capacity, counting further drops).  [None] and
-    [Off] sinks are no-ops. *)
+val sync : Ace_util.Codec.io -> t -> unit
+(** The sink's image, so a resumed run continues its metrics and timeline
+    seamlessly: registered cells sorted by name, then the ring oldest
+    first, written in place (an [Off] sink writes an empty option).
+    Reading a present image makes the sink that image — cells it lacks
+    drop to zero, missing cells are registered, and a [Full] sink takes
+    the events back, truncated to its capacity with further drops counted;
+    an absent image leaves the sink as it is.
+    @raise Ace_util.Codec.Error on a histogram whose bounds do not
+    increase. *)

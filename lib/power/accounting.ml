@@ -60,38 +60,14 @@ let time_weighted_avg_bytes t =
   if t.closed_cycles = 0.0 then float_of_int t.size
   else t.weighted_size_cycles /. t.closed_cycles
 
-type state = {
-  s_size : int;
-  s_epoch_accesses : int;
-  s_epoch_cycles : float;
-  s_dynamic_nj : float;
-  s_leakage_nj : float;
-  s_reconfig_nj : float;
-  s_reconfigs : int;
-  s_weighted_size_cycles : float;
-  s_closed_cycles : float;
-}
-
-let capture t =
-  {
-    s_size = t.size;
-    s_epoch_accesses = t.epoch_accesses;
-    s_epoch_cycles = t.epoch_cycles;
-    s_dynamic_nj = t.dynamic_nj;
-    s_leakage_nj = t.leakage_nj;
-    s_reconfig_nj = t.reconfig_nj;
-    s_reconfigs = t.reconfigs;
-    s_weighted_size_cycles = t.weighted_size_cycles;
-    s_closed_cycles = t.closed_cycles;
-  }
-
-let restore t s =
-  t.size <- s.s_size;
-  t.epoch_accesses <- s.s_epoch_accesses;
-  t.epoch_cycles <- s.s_epoch_cycles;
-  t.dynamic_nj <- s.s_dynamic_nj;
-  t.leakage_nj <- s.s_leakage_nj;
-  t.reconfig_nj <- s.s_reconfig_nj;
-  t.reconfigs <- s.s_reconfigs;
-  t.weighted_size_cycles <- s.s_weighted_size_cycles;
-  t.closed_cycles <- s.s_closed_cycles
+let sync io t =
+  let open Ace_util.Codec in
+  t.size <- sync io int t.size;
+  t.epoch_accesses <- sync io int t.epoch_accesses;
+  t.epoch_cycles <- sync io float t.epoch_cycles;
+  t.dynamic_nj <- sync io float t.dynamic_nj;
+  t.leakage_nj <- sync io float t.leakage_nj;
+  t.reconfig_nj <- sync io float t.reconfig_nj;
+  t.reconfigs <- sync io int t.reconfigs;
+  t.weighted_size_cycles <- sync io float t.weighted_size_cycles;
+  t.closed_cycles <- sync io float t.closed_cycles

@@ -37,19 +37,6 @@ val time_weighted_avg_bytes : t -> float
 (** Average configured size weighted by cycles, over closed epochs.
     Diagnostic for the energy results. *)
 
-(** Full accounting state (the unit's family is fixed at creation and not
-    part of it), for checkpoint serialization. *)
-type state = {
-  s_size : int;
-  s_epoch_accesses : int;
-  s_epoch_cycles : float;
-  s_dynamic_nj : float;
-  s_leakage_nj : float;
-  s_reconfig_nj : float;
-  s_reconfigs : int;
-  s_weighted_size_cycles : float;
-  s_closed_cycles : float;
-}
-
-val capture : t -> state
-val restore : t -> state -> unit
+val sync : Ace_util.Codec.io -> t -> unit
+(** The full accounting state (the unit's family is fixed at creation and
+    not part of it), for checkpoints. *)

@@ -508,147 +508,69 @@ let stats t =
     blocked_poisoned = t.n_blocked_poisoned;
   }
 
-(* -- checkpoint capture / restore ----------------------------------- *)
+let record_keys t =
+  List.sort_uniq compare (Hashtbl.fold (fun (key, _) _ acc -> key :: acc) t.table [])
 
-type phase_entry_state = {
-  pe_key : key;
-  pe_sig : hw_sig;
-  pe_instrs : int;
-  pe_seen : int;
-  pe_cpi_sum : float;
-  pe_cpi_sumsq : float;
-  pe_counts : Hierarchy.counts;
-  pe_counts_instrs : int;
-  pe_poisoned : bool;
-  pe_since_measure : int;
-}
+(* -- checkpoints ------------------------------------------------------ *)
 
-type obs_frame_state = {
-  os_meth : int;
-  os_key : key;
-  os_sig : hw_sig;
-  os_instrs0 : int;
-  os_cycles0 : float;
-  os_counts0 : Hierarchy.counts;
-  os_resizes0 : int;
-  os_dirty : bool;
-}
+let key_codec =
+  let open Ace_util.Codec in
+  let meth = case 0 int (fun m -> K_meth m)
+  and cluster = case 1 int (fun c -> K_cluster c) in
+  variant "sample key" [ Case meth; Case cluster ] (fun w -> function
+    | K_meth m -> write w meth m
+    | K_cluster c -> write w cluster c)
 
-type state = {
-  s_entries : phase_entry_state array;  (* sorted by key: determinism *)
-  s_meth_instrs : (int * int) array;  (* sorted by method id *)
-  s_cluster_of_meth : (int * int) array;  (* sorted by method id *)
-  s_open : obs_frame_state array;  (* outermost observation first *)
-  s_fault_events0 : int;
-  s_ff_instrs_active : int;
-  s_observations : int;
-  s_splices : int;
-  s_spliced_instrs : int;
-  s_blocked_quiescence : int;
-  s_blocked_unsettled : int;
-  s_blocked_open_obs : int;
-  s_blocked_poisoned : int;
-}
+let hw_sig_codec =
+  let open Ace_util.Codec in
+  let+ hs_l1d_bytes = field int (fun s -> s.hs_l1d_bytes)
+  and+ hs_l2_bytes = field int (fun s -> s.hs_l2_bytes)
+  and+ hs_ilp_bits = field int64 (fun s -> s.hs_ilp_bits)
+  and+ hs_exposure_bits = field int64 (fun s -> s.hs_exposure_bits) in
+  { hs_l1d_bytes; hs_l2_bytes; hs_ilp_bits; hs_exposure_bits }
 
-let sorted_bindings tbl =
-  Hashtbl.fold (fun k v acc -> (k, v) :: acc) tbl []
-  |> List.sort compare |> Array.of_list
+let record_codec =
+  let open Ace_util.Codec in
+  pair (pair key_codec hw_sig_codec)
+    (let+ ph_instrs = field int (fun ph -> ph.ph_instrs)
+     and+ ph_seen = field int (fun ph -> ph.ph_seen)
+     and+ ph_cpi_sum = field float (fun ph -> ph.ph_cpi_sum)
+     and+ ph_cpi_sumsq = field float (fun ph -> ph.ph_cpi_sumsq)
+     and+ ph_counts = field Hierarchy.counts_codec (fun ph -> ph.ph_counts)
+     and+ ph_counts_instrs = field int (fun ph -> ph.ph_counts_instrs)
+     and+ ph_poisoned = field bool (fun ph -> ph.ph_poisoned)
+     and+ ph_since_measure = field int (fun ph -> ph.ph_since_measure) in
+     { ph_instrs; ph_seen; ph_cpi_sum; ph_cpi_sumsq; ph_counts; ph_counts_instrs;
+       ph_poisoned; ph_since_measure })
 
-let capture t =
-  let entries =
-    Hashtbl.fold
-      (fun (key, sg) ph acc ->
-        {
-          pe_key = key;
-          pe_sig = sg;
-          pe_instrs = ph.ph_instrs;
-          pe_seen = ph.ph_seen;
-          pe_cpi_sum = ph.ph_cpi_sum;
-          pe_cpi_sumsq = ph.ph_cpi_sumsq;
-          pe_counts = ph.ph_counts;
-          pe_counts_instrs = ph.ph_counts_instrs;
-          pe_poisoned = ph.ph_poisoned;
-          pe_since_measure = ph.ph_since_measure;
-        }
-        :: acc)
-      t.table []
-    |> List.sort compare |> Array.of_list
-  in
-  {
-    s_entries = entries;
-    s_meth_instrs = sorted_bindings t.meth_instrs;
-    s_cluster_of_meth = sorted_bindings t.cluster_of_meth;
-    s_open =
-      Array.of_list
-        (List.rev_map
-           (fun ob ->
-             {
-               os_meth = ob.ob_meth;
-               os_key = ob.ob_key;
-               os_sig = ob.ob_sig;
-               os_instrs0 = ob.ob_instrs0;
-               os_cycles0 = ob.ob_cycles0;
-               os_counts0 = ob.ob_counts0;
-               os_resizes0 = ob.ob_resizes0;
-               os_dirty = ob.ob_dirty;
-             })
-           t.open_obs);
-    s_fault_events0 = t.fault_events0;
-    s_ff_instrs_active = t.ff_instrs_active;
-    s_observations = t.n_observations;
-    s_splices = t.n_splices;
-    s_spliced_instrs = t.n_spliced_instrs;
-    s_blocked_quiescence = t.n_blocked_quiescence;
-    s_blocked_unsettled = t.n_blocked_unsettled;
-    s_blocked_open_obs = t.n_blocked_open_obs;
-    s_blocked_poisoned = t.n_blocked_poisoned;
-  }
+(* Outermost observation first. *)
+let open_codec =
+  let open Ace_util.Codec in
+  conv List.rev List.rev
+    (list
+       (let+ ob_meth = field int (fun ob -> ob.ob_meth)
+        and+ ob_key = field key_codec (fun ob -> ob.ob_key)
+        and+ ob_sig = field hw_sig_codec (fun ob -> ob.ob_sig)
+        and+ ob_instrs0 = field int (fun ob -> ob.ob_instrs0)
+        and+ ob_cycles0 = field float (fun ob -> ob.ob_cycles0)
+        and+ ob_counts0 = field Hierarchy.counts_codec (fun ob -> ob.ob_counts0)
+        and+ ob_resizes0 = field int (fun ob -> ob.ob_resizes0)
+        and+ ob_dirty = field bool (fun ob -> ob.ob_dirty) in
+        { ob_meth; ob_key; ob_sig; ob_instrs0; ob_cycles0; ob_counts0; ob_resizes0;
+          ob_dirty }))
 
-let restore t s =
-  Hashtbl.reset t.table;
-  Array.iter
-    (fun pe ->
-      Hashtbl.replace t.table (pe.pe_key, pe.pe_sig)
-        {
-          ph_instrs = pe.pe_instrs;
-          ph_seen = pe.pe_seen;
-          ph_cpi_sum = pe.pe_cpi_sum;
-          ph_cpi_sumsq = pe.pe_cpi_sumsq;
-          ph_counts = pe.pe_counts;
-          ph_counts_instrs = pe.pe_counts_instrs;
-          ph_poisoned = pe.pe_poisoned;
-          ph_since_measure = pe.pe_since_measure;
-        })
-    s.s_entries;
-  Hashtbl.reset t.meth_instrs;
-  Array.iter
-    (fun (m, n) -> Hashtbl.replace t.meth_instrs m n)
-    s.s_meth_instrs;
-  Hashtbl.reset t.cluster_of_meth;
-  Array.iter
-    (fun (m, c) -> Hashtbl.replace t.cluster_of_meth m c)
-    s.s_cluster_of_meth;
-  t.open_obs <-
-    Array.fold_left
-      (fun acc os ->
-        {
-          ob_meth = os.os_meth;
-          ob_key = os.os_key;
-          ob_sig = os.os_sig;
-          ob_instrs0 = os.os_instrs0;
-          ob_cycles0 = os.os_cycles0;
-          ob_counts0 = os.os_counts0;
-          ob_resizes0 = os.os_resizes0;
-          ob_dirty = os.os_dirty;
-        }
-        :: acc)
-      [] s.s_open;
-  t.fault_events0 <- s.s_fault_events0;
-  t.ff_instrs_active <- s.s_ff_instrs_active;
-  t.n_observations <- s.s_observations;
-  t.n_splices <- s.s_splices;
-  t.n_spliced_instrs <- s.s_spliced_instrs;
-  t.n_blocked_quiescence <- s.s_blocked_quiescence;
-  t.n_blocked_unsettled <- s.s_blocked_unsettled;
-  t.n_blocked_open_obs <- s.s_blocked_open_obs;
-  t.n_blocked_poisoned <- s.s_blocked_poisoned
+let sync io t =
+  let open Ace_util.Codec in
+  sync_hashtbl io record_codec t.table;
+  sync_hashtbl io (pair int int) t.meth_instrs;
+  sync_hashtbl io (pair int int) t.cluster_of_meth;
+  t.open_obs <- sync io open_codec t.open_obs;
+  t.fault_events0 <- sync io int t.fault_events0;
+  t.ff_instrs_active <- sync io int t.ff_instrs_active;
+  t.n_observations <- sync io int t.n_observations;
+  t.n_splices <- sync io int t.n_splices;
+  t.n_spliced_instrs <- sync io int t.n_spliced_instrs;
+  t.n_blocked_quiescence <- sync io int t.n_blocked_quiescence;
+  t.n_blocked_unsettled <- sync io int t.n_blocked_unsettled;
+  t.n_blocked_open_obs <- sync io int t.n_blocked_open_obs;
+  t.n_blocked_poisoned <- sync io int t.n_blocked_poisoned

@@ -109,55 +109,14 @@ type stats = {
 
 val stats : t -> stats
 
-(** {2 Checkpoint capture / restore}
+val record_keys : t -> key list
+(** Keys of the memoized phase records, in increasing order. *)
 
-    Snapshots carry the whole phase-statistics cache, the learned
-    per-method invocation lengths, the header-to-cluster map and any
-    observations in flight, so a killed sampled run resumes
-    bit-identically with the uninterrupted one (same future decisions,
-    same splices). *)
+(** {2 Checkpoints} *)
 
-type phase_entry_state = {
-  pe_key : key;
-  pe_sig : hw_sig;
-  pe_instrs : int;
-  pe_seen : int;
-  pe_cpi_sum : float;
-  pe_cpi_sumsq : float;
-  pe_counts : Ace_mem.Hierarchy.counts;
-  pe_counts_instrs : int;
-  pe_poisoned : bool;
-  pe_since_measure : int;
-}
-
-type obs_frame_state = {
-  os_meth : int;
-  os_key : key;
-  os_sig : hw_sig;
-  os_instrs0 : int;
-  os_cycles0 : float;
-  os_counts0 : Ace_mem.Hierarchy.counts;
-  os_resizes0 : int;
-  os_dirty : bool;
-}
-
-type state = {
-  s_entries : phase_entry_state array;  (** Sorted by key. *)
-  s_meth_instrs : (int * int) array;  (** Sorted by method id. *)
-  s_cluster_of_meth : (int * int) array;  (** Sorted by method id. *)
-  s_open : obs_frame_state array;  (** Outermost observation first. *)
-  s_fault_events0 : int;
-  s_ff_instrs_active : int;
-  s_observations : int;
-  s_splices : int;
-  s_spliced_instrs : int;
-  s_blocked_quiescence : int;
-  s_blocked_unsettled : int;
-  s_blocked_open_obs : int;
-  s_blocked_poisoned : int;
-}
-
-val capture : t -> state
-
-val restore : t -> state -> unit
-(** Overwrite a freshly attached sampler with a captured state. *)
+val sync : Ace_util.Codec.io -> t -> unit
+(** The whole phase-statistics cache, the learned per-method invocation
+    lengths, the header-to-cluster map and any observations in flight, so a
+    killed sampled run resumes bit-identically with the uninterrupted one
+    (same future decisions, same splices).  Reading overwrites a freshly
+    attached sampler. *)

@@ -169,11 +169,11 @@ let exec_job ~cfg ~chaos ~drain ~mb id (spec : Protocol.job_spec) =
       | _ -> ()
     in
     let outcome =
-      match Snapshot.read_with_fallback ~io ~path () with
-      | Some (snap, _which) ->
-          last := snap.Snapshot.engine.Ace_vm.Engine.s_instrs;
+      match Run.restore_latest ~io ~path () with
+      | Some (r, _which) ->
+          last := Ace_vm.Engine.instrs (Run.engine r);
           post mb (M_resumed { id; instrs = !last });
-          Run.resume_from_snapshot ~io ~on_boundary ~path snap
+          Run.continue ~io ~on_boundary ~path r
       | None ->
           let workload =
             match Ace_workloads.Specjvm.find spec.Protocol.workload with

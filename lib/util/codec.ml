@@ -22,6 +22,12 @@ let of_string c s =
 
 let remaining r = String.length r.s - r.pos
 
+let prefix c s ~pos =
+  if pos < 0 || pos > String.length s then invalid_arg "Codec.prefix";
+  let r = { s; pos } in
+  let v = c.dec r in
+  (v, r.pos)
+
 (* Claim the next [n] bytes, returning their offset. *)
 let take r n =
   if remaining r < n then fail "truncated (%d bytes at %d)" n r.pos;
@@ -175,3 +181,81 @@ let option c =
   variant "option" [ Case none; Case some ] (fun w -> function
     | None -> write w none ()
     | Some x -> write w some x)
+
+(* {2 Live objects}
+
+   One function per stateful type walks its fields in format order; the
+   same walk writes when [io] is a buffer and reads when it is a cursor. *)
+
+type io = Write of Buffer.t | Read of reader
+
+let save f =
+  let b = Buffer.create 4096 in
+  f (Write b);
+  Buffer.contents b
+
+let load s f =
+  let r = { s; pos = 0 } in
+  f (Read r);
+  let left = remaining r in
+  if left <> 0 then fail "%d trailing bytes" left
+
+let reading = function Read _ -> true | Write _ -> false
+let room = function Read r -> remaining r | Write _ -> max_int
+
+let sync io c v =
+  match io with
+  | Write b ->
+      c.enc b v;
+      v
+  | Read r -> c.dec r
+
+let sync_length io n =
+  match io with
+  | Write b ->
+      int.enc b n;
+      n
+  | Read r -> length r
+
+let expect_length n a =
+  if n <> Array.length a then fail "%d elements where %d live" n (Array.length a)
+
+let sync_array io c a =
+  match io with
+  | Write b ->
+      int.enc b (Array.length a);
+      Array.iter (c.enc b) a
+  | Read r ->
+      expect_length (length r) a;
+      for i = 0 to Array.length a - 1 do
+        a.(i) <- c.dec r
+      done
+
+let sync_each io f a =
+  expect_length (sync_length io (Array.length a)) a;
+  for i = 0 to Array.length a - 1 do
+    f io a.(i)
+  done
+
+let sync_option io f o =
+  match (sync io bool (Option.is_some o), o) with
+  | true, Some x -> f io x
+  | false, None -> ()
+  | true, None -> fail "a stored value where the live option is empty"
+  | false, Some _ -> fail "no stored value where the live option is set"
+
+(* Bindings in key order: table order is an artifact of insertion history
+   and must not leak into the bytes. *)
+let sync_hashtbl io c tbl =
+  match io with
+  | Write b ->
+      let bindings = Hashtbl.fold (fun k v acc -> (k, v) :: acc) tbl [] in
+      int.enc b (List.length bindings);
+      List.iter (c.enc b) (List.sort (fun (k1, _) (k2, _) -> compare k1 k2) bindings)
+  | Read r ->
+      let n = length r in
+      Hashtbl.reset tbl;
+      for _ = 1 to n do
+        let k, v = c.dec r in
+        Hashtbl.replace tbl k v
+      done

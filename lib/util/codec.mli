@@ -1,9 +1,21 @@
-(** Two-way binary codecs for snapshot payloads.
+(** Binary codecs for snapshots.
 
-    An ['a t] is an encoder and its decoder built together from one
-    description, so the two cannot disagree on the byte layout.  A record
-    is described once, one line per field, and the order of the lines is
-    the format:
+    Checkpointed state is written straight from the live objects and read
+    straight back into freshly built ones.  Each stateful module has one
+    function over an {!io} (its [sync]) that names every checkpointed field
+    once, in format order:
+
+    {[
+      let sync io t =
+        t.n_hits <- Codec.sync io Codec.int t.n_hits;
+        Codec.sync_array io Codec.int t.tags
+    ]}
+
+    With a write buffer, [sync] writes the field and hands it back, so the
+    assignment changes nothing; with a read cursor it returns the decoded
+    value.  Plain-data types are described by a two-way value codec, an
+    ['a t], built once from one description so the encoder and decoder
+    cannot disagree on the byte layout:
 
     {[
       let running =
@@ -14,13 +26,17 @@
 
     Unlike [Marshal], the layout is defined here and nowhere else, so
     snapshot files are stable across compiler versions and can be versioned
-    and CRC-checked byte for byte (golden files live in [test/]).  Decoders
-    run left to right, validate every length against the remaining input,
-    range-check every tag and raise {!Error} rather than read out of
-    bounds. *)
+    and CRC-checked byte for byte (golden files live in [test/]).  Reading
+    runs left to right, validates every length against the remaining input,
+    range-checks every tag, checks every array that a live object owns
+    against that object, and raises {!Error} rather than read out of bounds
+    or build a state the live object cannot hold. *)
 
 exception Error of string
 (** Raised by decoders on truncated or malformed input. *)
+
+val fail : ('a, unit, string, 'b) format4 -> 'a
+(** Raise {!Error} with a formatted message: a shape check in a reader. *)
 
 type 'a t
 (** A codec for ['a]. *)
@@ -29,6 +45,10 @@ val to_string : 'a t -> 'a -> string
 
 val of_string : 'a t -> string -> 'a
 (** @raise Error on malformed input, including trailing bytes. *)
+
+val prefix : 'a t -> string -> pos:int -> 'a * int
+(** The value encoded at [pos] and the position just past it.
+    @raise Error on malformed input. *)
 
 (** {2 Primitives}
 
@@ -111,3 +131,44 @@ val variant : string -> 'a any_case list -> ('a writer -> 'a -> unit) -> 'a t
     must be distinct and in [0, 255]; [name] names the type in decode
     errors.
     @raise Invalid_argument on a bad or repeated tag. *)
+
+(** {2 Live objects} *)
+
+type io
+(** A write buffer or a read cursor. *)
+
+val save : (io -> unit) -> string
+(** [save f] runs [f] over a fresh write buffer and returns its bytes. *)
+
+val load : string -> (io -> unit) -> unit
+(** [load s f] runs [f] over a read cursor on [s].
+    @raise Error on malformed input, including bytes [f] left unread. *)
+
+val reading : io -> bool
+
+val room : io -> int
+(** Bytes left to read; [max_int] when writing.  A reader that must
+    allocate from a decoded size checks it against this first. *)
+
+val sync : io -> 'a t -> 'a -> 'a
+(** [sync io c v] writes [v] and returns it, or returns the value read. *)
+
+val sync_length : io -> int -> int
+(** A length prefix: written as an [int]; read back checked to be
+    non-negative and no larger than the remaining input. *)
+
+val sync_array : io -> 'a t -> 'a array -> unit
+(** The elements of an array the live object owns, in the layout of
+    {!array}; read in place after checking the stored length against it. *)
+
+val sync_each : io -> (io -> 'a -> unit) -> 'a array -> unit
+(** Like {!sync_array} for an array of live objects, each synced by the
+    function. *)
+
+val sync_option : io -> (io -> 'a -> unit) -> 'a option -> unit
+(** A live optional object, in the layout of {!option}; reading refuses a
+    stored value whose presence differs from the live one. *)
+
+val sync_hashtbl : io -> ('k * 'v) t -> ('k, 'v) Hashtbl.t -> unit
+(** A table as its bindings in increasing key order, in the layout of
+    {!list}; reading replaces the table's contents. *)

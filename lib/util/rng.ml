@@ -9,6 +9,7 @@ let copy t = { state = t.state }
 let to_state t = t.state
 let of_state state = { state }
 let set_state t state = t.state <- state
+let sync io t = t.state <- Codec.sync io Codec.int64 t.state
 
 (* splitmix64 core: advance the state by the golden gamma and scramble. *)
 let bits64 t =

@@ -24,7 +24,10 @@ val of_state : int64 -> t
 (** A generator resuming from a captured state. *)
 
 val set_state : t -> int64 -> unit
-(** Overwrite [t]'s state in place (restore into an existing generator). *)
+(** Overwrite [t]'s state in place. *)
+
+val sync : Codec.io -> t -> unit
+(** The state, for checkpoints: written, or read into [t] in place. *)
 
 val split : t -> t
 (** [split t] derives a new generator from [t], advancing [t].  Streams of

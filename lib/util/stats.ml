@@ -60,15 +60,11 @@ module Running = struct
   let cov t = if t.mean = 0.0 then 0.0 else stddev t /. t.mean
   let last t = t.last
 
-  type state = { s_n : int; s_mean : float; s_m2 : float; s_last : float }
-
-  let capture t = { s_n = t.n; s_mean = t.mean; s_m2 = t.m2; s_last = t.last }
-
-  let restore t s =
-    t.n <- s.s_n;
-    t.mean <- s.s_mean;
-    t.m2 <- s.s_m2;
-    t.last <- s.s_last
+  let sync io t =
+    t.n <- Codec.sync io Codec.int t.n;
+    t.mean <- Codec.sync io Codec.float t.mean;
+    t.m2 <- Codec.sync io Codec.float t.m2;
+    t.last <- Codec.sync io Codec.float t.last
 end
 
 module Ema = struct
@@ -88,11 +84,7 @@ module Ema = struct
   let value t = t.value
   let is_empty t = not t.seeded
 
-  type state = { s_value : float; s_seeded : bool }
-
-  let capture t = { s_value = t.value; s_seeded = t.seeded }
-
-  let restore t s =
-    t.value <- s.s_value;
-    t.seeded <- s.s_seeded
+  let sync io t =
+    t.value <- Codec.sync io Codec.float t.value;
+    t.seeded <- Codec.sync io Codec.bool t.seeded
 end

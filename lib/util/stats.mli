@@ -41,11 +41,8 @@ module Running : sig
   val last : t -> float
   (** Most recently added sample; 0 if none. *)
 
-  (** Full accumulator state, exposed for checkpoint serialization. *)
-  type state = { s_n : int; s_mean : float; s_m2 : float; s_last : float }
-
-  val capture : t -> state
-  val restore : t -> state -> unit
+  val sync : Codec.io -> t -> unit
+  (** The full accumulator, for checkpoints. *)
 end
 
 (** Exponential moving average, used for hotspot size estimation. *)
@@ -61,9 +58,6 @@ module Ema : sig
 
   val is_empty : t -> bool
 
-  (** Average state minus the fixed [alpha], for checkpoint serialization. *)
-  type state = { s_value : float; s_seeded : bool }
-
-  val capture : t -> state
-  val restore : t -> state -> unit
+  val sync : Codec.io -> t -> unit
+  (** The average minus its fixed [alpha], for checkpoints. *)
 end

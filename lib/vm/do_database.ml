@@ -41,54 +41,22 @@ let set_instrument t id kind =
   e.entry_overhead <- Instrument.entry_instrs kind;
   e.exit_overhead <- Instrument.exit_instrs kind
 
-type entry_state = {
-  s_invocations : int;
-  s_samples : int;
-  s_compile_state : compile_state;
-  s_is_hotspot : bool;
-  s_promoted_at_instr : int;
-  s_pre_promotion_instrs : int;
-  s_size_ema : Ace_util.Stats.Ema.state;
-  s_ipc_profile : Ace_util.Stats.Running.state;
-  s_entry_overhead : int;
-  s_exit_overhead : int;
-}
+let compile_state_codec = Ace_util.Codec.enum "compile_state" [ Baseline; Optimized ]
 
-type state = entry_state array
-
-let capture t =
-  Array.map
-    (fun e ->
-      {
-        s_invocations = e.invocations;
-        s_samples = e.samples;
-        s_compile_state = e.compile_state;
-        s_is_hotspot = e.is_hotspot;
-        s_promoted_at_instr = e.promoted_at_instr;
-        s_pre_promotion_instrs = e.pre_promotion_instrs;
-        s_size_ema = Ace_util.Stats.Ema.capture e.size_ema;
-        s_ipc_profile = Ace_util.Stats.Running.capture e.ipc_profile;
-        s_entry_overhead = e.entry_overhead;
-        s_exit_overhead = e.exit_overhead;
-      })
-    t
-
-let restore t s =
-  if Array.length s <> Array.length t then
-    invalid_arg "Do_database.restore: method count mismatch";
-  Array.iteri
-    (fun i e ->
-      let es = s.(i) in
-      e.invocations <- es.s_invocations;
-      e.samples <- es.s_samples;
-      e.compile_state <- es.s_compile_state;
-      e.is_hotspot <- es.s_is_hotspot;
-      e.promoted_at_instr <- es.s_promoted_at_instr;
-      e.pre_promotion_instrs <- es.s_pre_promotion_instrs;
-      Ace_util.Stats.Ema.restore e.size_ema es.s_size_ema;
-      Ace_util.Stats.Running.restore e.ipc_profile es.s_ipc_profile;
-      e.entry_overhead <- es.s_entry_overhead;
-      e.exit_overhead <- es.s_exit_overhead)
+let sync io t =
+  let open Ace_util.Codec in
+  sync_each io
+    (fun io e ->
+      e.invocations <- sync io int e.invocations;
+      e.samples <- sync io int e.samples;
+      e.compile_state <- sync io compile_state_codec e.compile_state;
+      e.is_hotspot <- sync io bool e.is_hotspot;
+      e.promoted_at_instr <- sync io int e.promoted_at_instr;
+      e.pre_promotion_instrs <- sync io int e.pre_promotion_instrs;
+      Ace_util.Stats.Ema.sync io e.size_ema;
+      Ace_util.Stats.Running.sync io e.ipc_profile;
+      e.entry_overhead <- sync io int e.entry_overhead;
+      e.exit_overhead <- sync io int e.exit_overhead)
     t
 
 let estimated_size e =

@@ -42,26 +42,9 @@ val set_instrument : t -> int -> Instrument.kind -> unit
 val estimated_size : entry -> int
 (** Current hotspot-size estimate in instructions (0 until first exit). *)
 
-(** Per-entry profiling state, for checkpoint serialization. *)
-type entry_state = {
-  s_invocations : int;
-  s_samples : int;
-  s_compile_state : compile_state;
-  s_is_hotspot : bool;
-  s_promoted_at_instr : int;
-  s_pre_promotion_instrs : int;
-  s_size_ema : Ace_util.Stats.Ema.state;
-  s_ipc_profile : Ace_util.Stats.Running.state;
-  s_entry_overhead : int;
-  s_exit_overhead : int;
-}
-
-type state = entry_state array
-
-val capture : t -> state
-
-val restore : t -> state -> unit
-(** @raise Invalid_argument if the method counts differ. *)
+val sync : Ace_util.Codec.io -> t -> unit
+(** Every entry's profiling state, for checkpoints.
+    @raise Ace_util.Codec.Error if the method counts differ. *)
 
 (** Aggregates for Table 4 / Table 5. *)
 

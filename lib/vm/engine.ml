@@ -537,147 +537,57 @@ let resume t =
 
 (* {2 Checkpoint state} *)
 
-type frame_state = {
-  fs_meth : int;
-  fs_quality : float;
-  fs_was_hotspot : bool;
-  fs_saved_meth : int;
-  fs_instrs0 : int;
-  fs_cycles0 : float;
-  fs_l1a0 : int;
-  fs_l1m0 : int;
-  fs_l2a0 : int;
-  fs_l2m0 : int;
-  fs_sample : int;
-  fs_pos : int;
-  fs_calls_left : int;
-}
+let frame =
+  let open Ace_util.Codec in
+  let+ f_meth = field int (fun f -> f.f_meth)
+  and+ f_quality = field float (fun f -> f.f_quality)
+  and+ f_was_hotspot = field bool (fun f -> f.f_was_hotspot)
+  and+ f_saved_meth = field int (fun f -> f.f_saved_meth)
+  and+ f_instrs0 = field int (fun f -> f.f_instrs0)
+  and+ f_cycles0 = field float (fun f -> f.f_cycles0)
+  and+ f_l1a0 = field int (fun f -> f.f_l1a0)
+  and+ f_l1m0 = field int (fun f -> f.f_l1m0)
+  and+ f_l2a0 = field int (fun f -> f.f_l2a0)
+  and+ f_l2m0 = field int (fun f -> f.f_l2m0)
+  and+ f_sample = field int (fun f -> f.f_sample)
+  and+ f_pos = field int (fun f -> f.f_pos)
+  and+ f_calls_left = field int (fun f -> f.f_calls_left) in
+  { f_meth; f_quality; f_was_hotspot; f_saved_meth; f_instrs0; f_cycles0; f_l1a0;
+    f_l1m0; f_l2a0; f_l2m0; f_sample; f_pos; f_calls_left }
 
-(* An in-flight fast-forward region ([fr_cpi] is derived, not stored). *)
-type ff_run_state = {
-  ffs_instrs : int;
-  ffs_cycles : float;
-  ffs_counts : Hierarchy.counts;
-  ffs_start_cycles : float;
-}
+(* Outermost invocation first. *)
+let stack_codec = Ace_util.Codec.(conv List.rev List.rev (list frame))
 
-type state = {
-  s_instrs : int;
-  s_cycles : float;
-  s_overhead_instrs : int;
-  s_hot_instrs : int;
-  s_next_sample_at : float;
-  s_next_interval_at : int;
-  s_current_meth : int;
-  s_hotspot_depth : int;
-  s_ilp_scale : float;
-  s_exposure_scale : float;
-  s_stack : frame_state array;  (* outermost invocation first *)
-  s_rng : int64;
-  s_cursors : Pattern.cursor_state array;
-  s_db : Do_database.state;
-  s_hier : Hierarchy.state;
-  s_ff : ff_run_state option;
-}
+let ff_codec =
+  let open Ace_util.Codec in
+  option
+    (let+ fr_instrs = field int (fun f -> f.fr_instrs)
+     and+ fr_cycles = field float (fun f -> f.fr_cycles)
+     and+ fr_counts = field Hierarchy.counts_codec (fun f -> f.fr_counts)
+     and+ fr_start_cycles = field float (fun f -> f.fr_start_cycles) in
+     let fr_cpi = if fr_instrs > 0 then fr_cycles /. float_of_int fr_instrs else 0.0 in
+     { fr_instrs; fr_cycles; fr_counts; fr_start_cycles; fr_cpi })
 
-let frame_to_state fr =
-  {
-    fs_meth = fr.f_meth;
-    fs_quality = fr.f_quality;
-    fs_was_hotspot = fr.f_was_hotspot;
-    fs_saved_meth = fr.f_saved_meth;
-    fs_instrs0 = fr.f_instrs0;
-    fs_cycles0 = fr.f_cycles0;
-    fs_l1a0 = fr.f_l1a0;
-    fs_l1m0 = fr.f_l1m0;
-    fs_l2a0 = fr.f_l2a0;
-    fs_l2m0 = fr.f_l2m0;
-    fs_sample = fr.f_sample;
-    fs_pos = fr.f_pos;
-    fs_calls_left = fr.f_calls_left;
-  }
-
-let frame_of_state fs =
-  {
-    f_meth = fs.fs_meth;
-    f_quality = fs.fs_quality;
-    f_was_hotspot = fs.fs_was_hotspot;
-    f_saved_meth = fs.fs_saved_meth;
-    f_instrs0 = fs.fs_instrs0;
-    f_cycles0 = fs.fs_cycles0;
-    f_l1a0 = fs.fs_l1a0;
-    f_l1m0 = fs.fs_l1m0;
-    f_l2a0 = fs.fs_l2a0;
-    f_l2m0 = fs.fs_l2m0;
-    f_sample = fs.fs_sample;
-    f_pos = fs.fs_pos;
-    f_calls_left = fs.fs_calls_left;
-  }
-
-let capture t =
-  {
-    s_instrs = t.n_instrs;
-    s_cycles = t.n_cycles;
-    s_overhead_instrs = t.n_overhead_instrs;
-    s_hot_instrs = t.n_hot_instrs;
-    s_next_sample_at = t.next_sample_at;
-    s_next_interval_at = t.next_interval_at;
-    s_current_meth = t.current_meth;
-    s_hotspot_depth = t.hotspot_depth;
-    s_ilp_scale = t.ilp_scale;
-    s_exposure_scale = t.exposure_scale;
-    s_stack = Array.of_list (List.rev_map frame_to_state t.stack);
-    s_rng = Rng.to_state t.rng;
-    s_cursors = Array.map Pattern.capture t.cursors;
-    s_db = Do_database.capture t.db;
-    s_hier = Hierarchy.capture t.hier;
-    s_ff =
-      (match t.ff with
-      | None -> None
-      | Some f ->
-          Some
-            {
-              ffs_instrs = f.fr_instrs;
-              ffs_cycles = f.fr_cycles;
-              ffs_counts = f.fr_counts;
-              ffs_start_cycles = f.fr_start_cycles;
-            });
-  }
-
-let restore t s =
-  if t.ran then invalid_arg "Engine.restore: engine already ran";
-  if Array.length s.s_cursors <> Array.length t.cursors then
-    invalid_arg "Engine.restore: block count mismatch";
-  t.n_instrs <- s.s_instrs;
-  t.n_cycles <- s.s_cycles;
-  t.n_overhead_instrs <- s.s_overhead_instrs;
-  t.n_hot_instrs <- s.s_hot_instrs;
-  t.next_sample_at <- s.s_next_sample_at;
-  t.next_interval_at <- s.s_next_interval_at;
-  t.current_meth <- s.s_current_meth;
-  t.hotspot_depth <- s.s_hotspot_depth;
-  t.ilp_scale <- s.s_ilp_scale;
-  t.exposure_scale <- s.s_exposure_scale;
-  t.stack <-
-    Array.fold_left (fun acc fs -> frame_of_state fs :: acc) [] s.s_stack;
-  Rng.set_state t.rng s.s_rng;
-  Array.iteri (fun i cs -> Pattern.restore t.cursors.(i) cs) s.s_cursors;
-  Do_database.restore t.db s.s_db;
-  Hierarchy.restore t.hier s.s_hier;
-  t.ff <-
-    (match s.s_ff with
-    | None -> None
-    | Some fs ->
-        Some
-          {
-            fr_instrs = fs.ffs_instrs;
-            fr_cycles = fs.ffs_cycles;
-            fr_counts = fs.ffs_counts;
-            fr_start_cycles = fs.ffs_start_cycles;
-            fr_cpi =
-              (if fs.ffs_instrs > 0 then
-                 fs.ffs_cycles /. float_of_int fs.ffs_instrs
-               else 0.0);
-          });
-  t.ran <- true;
-  t.restored <- true
+let sync io t =
+  let open Ace_util.Codec in
+  if reading io && t.ran then invalid_arg "Engine.sync: engine already ran";
+  t.n_instrs <- sync io int t.n_instrs;
+  t.n_cycles <- sync io float t.n_cycles;
+  t.n_overhead_instrs <- sync io int t.n_overhead_instrs;
+  t.n_hot_instrs <- sync io int t.n_hot_instrs;
+  t.next_sample_at <- sync io float t.next_sample_at;
+  t.next_interval_at <- sync io int t.next_interval_at;
+  t.current_meth <- sync io int t.current_meth;
+  t.hotspot_depth <- sync io int t.hotspot_depth;
+  t.ilp_scale <- sync io float t.ilp_scale;
+  t.exposure_scale <- sync io float t.exposure_scale;
+  t.stack <- sync io stack_codec t.stack;
+  Rng.sync io t.rng;
+  sync_each io Pattern.sync t.cursors;
+  Do_database.sync io t.db;
+  Hierarchy.sync io t.hier;
+  t.ff <- sync io ff_codec t.ff;
+  if reading io then begin
+    t.ran <- true;
+    t.restored <- true
+  end

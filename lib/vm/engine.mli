@@ -76,73 +76,25 @@ val run : t -> unit
 (** Execute the program's entry method once.  May be called once per
     engine. *)
 
-(** {2 Checkpoint capture / restore}
+(** {2 Checkpoints}
 
     The engine executes with an explicit frame stack, so its complete
     execution position — including the statement index and remaining call
-    repetitions of every in-flight invocation — is plain data.  [capture]
-    may be called at any point (typically from the [on_interval] hook);
-    [restore] overwrites a freshly created engine for the same program, and
-    [resume] continues execution to completion bit-identically with the
-    uninterrupted run. *)
+    repetitions of every in-flight invocation — is plain data. *)
 
-(** One in-flight invocation: method, latched code quality, profile counter
-    snapshots and the execution position within the body. *)
-type frame_state = {
-  fs_meth : int;
-  fs_quality : float;
-  fs_was_hotspot : bool;
-  fs_saved_meth : int;
-  fs_instrs0 : int;
-  fs_cycles0 : float;
-  fs_l1a0 : int;
-  fs_l1m0 : int;
-  fs_l2a0 : int;
-  fs_l2m0 : int;
-  fs_sample : int;
-      (** 0 = plain, 1 = observed by the sampler, 2 = fast-forward root. *)
-  fs_pos : int;
-  fs_calls_left : int;
-}
-
-(** An in-flight fast-forward region, if a checkpoint lands inside one. *)
-type ff_run_state = {
-  ffs_instrs : int;
-  ffs_cycles : float;
-  ffs_counts : Ace_mem.Hierarchy.counts;
-  ffs_start_cycles : float;
-}
-
-type state = {
-  s_instrs : int;
-  s_cycles : float;
-  s_overhead_instrs : int;
-  s_hot_instrs : int;
-  s_next_sample_at : float;
-  s_next_interval_at : int;
-  s_current_meth : int;
-  s_hotspot_depth : int;
-  s_ilp_scale : float;
-  s_exposure_scale : float;
-  s_stack : frame_state array;  (** Outermost invocation first. *)
-  s_rng : int64;
-  s_cursors : Ace_isa.Pattern.cursor_state array;  (** Indexed by block id. *)
-  s_db : Do_database.state;
-  s_hier : Ace_mem.Hierarchy.state;
-  s_ff : ff_run_state option;
-}
-
-val capture : t -> state
-
-val restore : t -> state -> unit
-(** Overwrite a fresh, not-yet-run engine (built with [create] from the same
-    program and config) with a captured state.  Call after attaching the
-    scheme, since schemes set ILP/exposure scales at attach time.
-    @raise Invalid_argument if the engine already ran or the program shape
-    differs. *)
+val sync : Ace_util.Codec.io -> t -> unit
+(** Counters, sampler and interval cursors, the frame stack (outermost
+    invocation first), RNG, pattern cursors, DO database, memory hierarchy
+    and any in-flight fast-forward region.  Writing may happen at any point
+    (typically from the [on_interval] hook).  Reading overwrites a fresh,
+    not-yet-run engine built with [create] from the same program and
+    config; call it after attaching the scheme, since schemes set
+    ILP/exposure scales at attach time.
+    @raise Ace_util.Codec.Error if the program shape differs.
+    @raise Invalid_argument when reading into an engine that already ran. *)
 
 val resume : t -> unit
-(** Continue a [restore]d engine to completion.
+(** Continue an engine read back by {!sync} to completion.
     @raise Invalid_argument unless called on a freshly restored engine. *)
 
 (** {2 Global counters} *)

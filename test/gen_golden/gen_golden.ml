@@ -44,7 +44,7 @@ let write path snap =
   output_string oc (Snapshot.encode snap);
   close_out oc;
   Printf.printf "wrote %s (version %d, %d instrs into the run)\n" path
-    Snapshot.version snap.Snapshot.engine.Ace_vm.Engine.s_instrs
+    Snapshot.version (Snapshot.instrs snap)
 
 let () =
   let dir = if Array.length Sys.argv > 1 then Sys.argv.(1) else "." in

@@ -29,25 +29,32 @@ let sample_snapshots ?(scheme = Scheme.Hotspot) ?fault_rate () =
 
 let snaps_equal a b = Stdlib.compare (a : Snapshot.t) b = 0
 
+(* A snapshot restored into a freshly built run and captured again must be
+   the same snapshot: every [sync] reads back exactly what it wrote.  The
+   container round trip is checked on the way. *)
+let check_roundtrip ~what s =
+  if not (snaps_equal s (Snapshot.decode (Snapshot.encode s))) then
+    Alcotest.failf "%s: decode (encode s) <> s" what;
+  if not (snaps_equal s (Run.capture (Run.restore s))) then
+    Alcotest.failf "%s: capture (restore s) <> s" what
+
 let test_codec_roundtrip () =
   List.iter
     (fun scheme ->
       let snaps, _ = sample_snapshots ~scheme () in
       Alcotest.(check bool) "run produced checkpoints" true (snaps <> []);
-      List.iter
-        (fun s ->
-          if not (snaps_equal s (Snapshot.decode (Snapshot.encode s))) then
-            Alcotest.fail "decode (encode s) <> s")
-        snaps)
+      List.iter (check_roundtrip ~what:(Scheme.name scheme)) snaps)
     [ Scheme.Fixed_baseline; Scheme.Hotspot; Scheme.Bbv ]
 
 let test_codec_roundtrip_faulty () =
   let snaps, _ = sample_snapshots ~fault_rate:0.05 () in
   List.iter
     (fun s ->
-      Alcotest.(check bool) "faults captured" true (s.Snapshot.faults <> None);
-      if not (snaps_equal s (Snapshot.decode (Snapshot.encode s))) then
-        Alcotest.fail "decode (encode s) <> s under faults")
+      (* The rebuilt run has an injector, so its state must be in the body
+         for the restore in [check_roundtrip] to succeed. *)
+      Alcotest.(check bool) "faults captured" true
+        (s.Snapshot.meta.Snapshot.fault_rate <> None);
+      check_roundtrip ~what:"faults" s)
     snaps
 
 let expect_error ~what data =
@@ -150,7 +157,7 @@ let test_golden_snapshot () =
   Alcotest.(check string) "workload" "compress" s.Snapshot.meta.Snapshot.workload;
   Alcotest.(check bool) "hotspot scheme" true
     (s.Snapshot.meta.Snapshot.scheme = Snapshot.Hotspot);
-  Alcotest.(check bool) "mid-run position" true (s.Snapshot.engine.Ace_vm.Engine.s_instrs > 0);
+  Alcotest.(check bool) "mid-run position" true (Snapshot.instrs s > 0);
   expect_error ~what:"bumped-version golden" (patch data 8 (fun c -> c + 1));
   expect_error ~what:"corrupted golden" (patch data 60 (fun c -> c lxor 0x20))
 
@@ -164,26 +171,40 @@ let read_fixture name =
    adds the fault-injector, BBV and sampler sections. *)
 let fixtures = [ "golden.snap"; "golden_bbv.snap" ]
 
-(* The committed bytes must decode and re-encode unchanged: a layout change
-   that shifts any later byte (a field added, dropped, or moved across one of
-   another width) fails here, although round trips through freshly encoded
-   states pass it. *)
+(* The fixtures were written with a [Full] sink, so one restores them. *)
+let restore_fixture snap = Run.restore ~obs:(Ace_obs.Obs.create Ace_obs.Obs.Full) snap
+
+(* The committed bytes, restored into a freshly built run and captured
+   again, must come back unchanged: a layout change that shifts any later
+   byte (a field added, dropped, or moved across one of another width)
+   fails here, although round trips through freshly captured states pass
+   it. *)
 let test_fixtures_reencode () =
   let bbv = Snapshot.decode (read_fixture "golden_bbv.snap") in
   Alcotest.(check bool) "bbv scheme" true
     (bbv.Snapshot.meta.Snapshot.scheme = Snapshot.Bbv);
-  Alcotest.(check bool) "fault state" true (bbv.Snapshot.faults <> None);
-  Alcotest.(check bool) "sampler state" true (bbv.Snapshot.sample_state <> None);
-  Alcotest.(check bool) "obs state" true (bbv.Snapshot.obs <> None);
+  let obs = Ace_obs.Obs.create Ace_obs.Obs.Full in
+  let r = Run.restore ~obs bbv in
+  Alcotest.(check bool) "fault state" true
+    (bbv.Snapshot.meta.Snapshot.fault_rate <> None);
+  Alcotest.(check bool) "sampler state" true
+    (match Run.sampler r with
+    | Some sam -> Ace_sample.Sample.record_keys sam <> []
+    | None -> false);
+  Alcotest.(check bool) "obs state" true (Ace_obs.Obs.event_count obs > 0);
   List.iter
     (fun name ->
       let data = read_fixture name in
-      if Snapshot.encode (Snapshot.decode data) <> data then
-        Alcotest.failf "%s does not re-encode to its own bytes" name)
+      let snap = Snapshot.decode data in
+      if Snapshot.encode snap <> data then
+        Alcotest.failf "%s does not re-encode to its own bytes" name;
+      if Snapshot.encode (Run.capture (restore_fixture snap)) <> data then
+        Alcotest.failf "%s, restored and captured, does not reproduce its bytes" name)
     fixtures
 
-(* Re-encoding a decoded fixture cannot see two same-typed fields swapped in
-   a codec: the swap applies to both directions.  Encoding fresh state can.
+(* Restoring and capturing a fixture cannot see two same-typed fields
+   swapped in a [sync]: the swap applies to both directions.  Capturing
+   fresh state can.
    These runs repeat test/gen_golden's settings, so they must reproduce the
    committed bytes; regenerate the fixtures if the simulation itself
    changes. *)
@@ -209,8 +230,8 @@ let test_fresh_runs_encode_to_fixtures () =
        ~sample:Ace_sample.Sample.default_config Scheme.Bbv)
 
 (* Hostile payloads: damage the payload, then rebuild the header's length
-   and CRC so the damage reaches the payload decoder instead of being caught
-   by the container checks. *)
+   and CRC so the damage reaches the meta decoder and every module's reader
+   instead of being caught by the container checks. *)
 let header_len = 26
 
 let reseal data payload =
@@ -261,9 +282,50 @@ let prop_hostile_payload =
     (fun (i, m) ->
       let data = List.nth (Lazy.force fixture_data) i in
       let payload = String.sub data header_len (String.length data - header_len) in
-      match Snapshot.decode (reseal data (mutate payload m)) with
+      match restore_fixture (Snapshot.decode (reseal data (mutate payload m))) with
       | _ -> true
       | exception Snapshot.Error _ -> true)
+
+(* Two bodies that decoded cleanly and then broke the old restore path: a
+   TLB listing more resident pages than it has entries (the probe-table
+   insert then spun forever) and an L1D of an impossible size (an untyped
+   [Invalid_argument]).  Both are built from [Codec] primitives and read
+   into a fresh structure through [Snapshot.read_body]. *)
+let expect_malformed ~what body read =
+  let snap = { (Snapshot.decode (read_fixture "golden.snap")) with Snapshot.body } in
+  match Snapshot.read_body snap read with
+  | exception Snapshot.Error (Snapshot.Malformed _) -> ()
+  | exception e -> Alcotest.failf "%s: untyped %s" what (Printexc.to_string e)
+  | () -> Alcotest.failf "%s: accepted" what
+
+let test_hostile_tlb_refused () =
+  let open Ace_util.Codec in
+  let body =
+    save (fun io ->
+        ignore (sync io (array int) (Array.init 600 Fun.id));
+        ignore (sync io (array int) (Array.make 128 0));
+        List.iter (fun n -> ignore (sync io int n)) [ 0; 128; 1000; 600 ])
+  in
+  expect_malformed ~what:"600 resident pages" body (fun io ->
+      Ace_mem.Tlb.sync io (Ace_mem.Tlb.create ()))
+
+let test_hostile_cache_refused () =
+  let open Ace_util.Codec in
+  let slots = 1024 in
+  let body =
+    save (fun io ->
+        ignore (sync io int 12_345);
+        ignore (sync io (array int) (Array.make slots (-1)));
+        ignore (sync io (array bool) (Array.make slots false));
+        ignore (sync io (array int) (Array.make slots 0));
+        for _ = 1 to 7 do
+          ignore (sync io int 0)
+        done)
+  in
+  expect_malformed ~what:"12,345-byte L1D" body (fun io ->
+      Ace_mem.Cache.sync io
+        (Ace_mem.Cache.create
+           { Ace_mem.Cache.size_bytes = 64 * 1024; assoc = 2; line_bytes = 64 }))
 
 let test_write_rotates_and_falls_back () =
   let path = tmp_path () in
@@ -392,6 +454,8 @@ let suite =
     Tu.slow_case "chaos soak survives 20 kill/resume cycles" test_chaos_soak;
     Tu.case "fixtures re-encode to their exact bytes" test_fixtures_reencode;
     Tu.qcheck prop_hostile_payload;
+    Tu.case "hostile TLB body refused" test_hostile_tlb_refused;
+    Tu.case "hostile cache body refused" test_hostile_cache_refused;
     Tu.case "fresh runs encode to the fixtures' bytes"
       test_fresh_runs_encode_to_fixtures;
   ]

@@ -170,6 +170,34 @@ let test_resume_missing_snapshot () =
   Alcotest.(check bool) "says no usable snapshot" true
     (contains out "no usable snapshot")
 
+(* A newest snapshot whose CRC holds but whose body does not restore (here:
+   one stray trailing byte) must be skipped like a corrupted one: resume
+   falls back to [.1], and with no [.1] exits 1 instead of crashing. *)
+let test_resume_unrestorable_body () =
+  let module Snapshot = Ace_ckpt.Snapshot in
+  let read name = In_channel.with_open_bin name In_channel.input_all in
+  let write name data =
+    Out_channel.with_open_bin name (fun oc -> output_string oc data)
+  in
+  let good = read "golden.snap" in
+  let snap = Snapshot.decode good in
+  let bad = Snapshot.encode { snap with Snapshot.body = snap.Snapshot.body ^ "\000" } in
+  let path = Filename.temp_file "ace_cli_bad" ".snap" in
+  write path bad;
+  write (path ^ ".1") good;
+  let code, out = sh (exe ^ " run --resume " ^ path) in
+  Alcotest.(check int) "falls back and exits 0" 0 code;
+  Alcotest.(check bool) "says it fell back" true (contains out (path ^ ".1"));
+  Sys.remove (path ^ ".1");
+  write path bad;
+  let code, out = sh (exe ^ " run --resume " ^ path) in
+  Alcotest.(check int) "no fallback: exit 1" 1 code;
+  Alcotest.(check bool) "says no usable snapshot" true
+    (contains out "no usable snapshot");
+  List.iter
+    (fun s -> if Sys.file_exists (path ^ s) then Sys.remove (path ^ s))
+    [ ""; ".1" ]
+
 let test_run_requires_benchmark_or_resume () =
   let code, out = sh (exe ^ " run") in
   Alcotest.(check int) "usage error" 2 code;
@@ -242,6 +270,8 @@ let suite =
     Tu.slow_case "resumed metrics file is byte-identical" test_resume_metrics_identity;
     Tu.slow_case "report subcommand" test_report_subcommand;
     Tu.case "--resume with missing snapshot" test_resume_missing_snapshot;
+    Tu.slow_case "--resume skips a body that does not restore"
+      test_resume_unrestorable_body;
     Tu.case "run requires benchmark or --resume" test_run_requires_benchmark_or_resume;
     Tu.case "--sample flag combinations rejected"
       test_sample_flag_combinations_rejected;

@@ -205,10 +205,10 @@ let test_capture_restore_roundtrip () =
     ignore (Faults.on_reg_write t ~cu:"l1d" ~now_instrs:(i * 500) ~setting:0 ~n_settings:4);
     ignore (Faults.perturb_cycles t ~cycles:1000.0)
   done;
-  let state = Faults.capture t in
+  let state = Ace_util.Codec.save (fun io -> Faults.sync io t) in
   (* Drain both copies forward and compare the schedules. *)
   let t2 = Faults.create ~seed:9 (Faults.preset ~rate:0.3) in
-  Faults.restore t2 state;
+  Ace_util.Codec.load state (fun io -> Faults.sync io t2);
   Alcotest.(check bool) "stats restored" true (Faults.stats t = Faults.stats t2);
   for i = 101 to 200 do
     let a = Faults.on_reg_write t ~cu:"l2" ~now_instrs:(i * 500) ~setting:2 ~n_settings:4 in
@@ -219,11 +219,11 @@ let test_capture_restore_roundtrip () =
       <> Faults.perturb_cycles t2 ~cycles:2000.0
     then Alcotest.failf "restored noise diverged at %d" i
   done;
-  Alcotest.(check bool) "none captures as None" true
-    (Faults.capture Faults.none = None);
-  (match Faults.restore t2 None with
-  | exception Invalid_argument _ -> ()
-  | () -> Alcotest.fail "restore accepted noneness mismatch")
+  let none = Ace_util.Codec.save (fun io -> Faults.sync io Faults.none) in
+  Alcotest.(check string) "none writes an empty option" "\000" none;
+  (match Ace_util.Codec.load none (fun io -> Faults.sync io t2) with
+  | exception Ace_util.Codec.Error _ -> ()
+  | () -> Alcotest.fail "read accepted noneness mismatch")
 
 let suite =
   [

@@ -128,6 +128,9 @@ let test_resize_l2_noop () =
    excess of one L1 hit per access. *)
 let batch_shapes = [ (3, 1, 64); (1, 0, 100); (0, 2, 33); (2, 3, 400) ]
 
+(* A hierarchy's complete checkpointed state, as the bytes it writes. *)
+let state h = Ace_util.Codec.save (fun io -> Hierarchy.sync io h)
+
 let test_data_access_batch_equiv () =
   let rng = Rng.create ~seed:11 in
   List.iter
@@ -148,7 +151,7 @@ let test_data_access_batch_equiv () =
         (!scalar - (n * lat.Hierarchy.l1_hit))
         batch;
       Alcotest.(check bool) "hierarchy state identical" true
-        (Hierarchy.capture ha = Hierarchy.capture hb);
+        (state ha = state hb);
       Alcotest.(check bool) "counters identical" true
         (Hierarchy.counts ha = Hierarchy.counts hb))
     batch_shapes
@@ -174,7 +177,7 @@ let prop_data_access_batch_equiv =
         addrs;
       let batch = Hierarchy.data_access_batch hb ~addrs ~n ~loads ~stores in
       batch = !scalar - (n * lat.Hierarchy.l1_hit)
-      && Hierarchy.capture ha = Hierarchy.capture hb)
+      && state ha = state hb)
 
 let test_data_access_batch_no_alloc () =
   let h = Hierarchy.create () in

@@ -90,7 +90,8 @@ let test_off_sink_inert () =
   Alcotest.(check int) "nothing recorded" 0 (Obs.event_count obs);
   Alcotest.(check int) "cell untouched" 0 (Obs.counter_value c);
   Alcotest.(check int) "clock untouched" 0 (Obs.now obs);
-  Alcotest.(check bool) "capture empty" true (Obs.capture obs = None)
+  Alcotest.(check string) "writes an empty image" "\000"
+    (Ace_util.Codec.save (fun io -> Obs.sync io obs))
 
 (* The always-on promise: emitting against an Off sink must not allocate,
    or leaving instrumentation in hot paths would tax every ordinary run.
@@ -228,16 +229,17 @@ let test_capture_restore_roundtrip () =
     tick := i;
     Obs.record obs (Obs.Recompile { id = i })
   done;
-  let st = Obs.capture obs in
-  Alcotest.(check bool) "full sink captures" true (st <> None);
+  let image sink = Ace_util.Codec.save (fun io -> Obs.sync io sink) in
+  let st = image obs in
+  Alcotest.(check bool) "full sink writes an image" true (st.[0] = '\001');
   let obs2 = Obs.create ~capacity:4 Obs.Full in
-  Obs.restore obs2 st;
+  Ace_util.Codec.load st (fun io -> Obs.sync io obs2);
   Alcotest.(check bool) "metrics identical" true
     (Obs.metrics obs2 = Obs.metrics obs);
   Alcotest.(check bool) "events identical" true
     (Obs.events obs2 = Obs.events obs);
   Alcotest.(check int) "drop count carried" (Obs.dropped obs) (Obs.dropped obs2);
-  Alcotest.(check bool) "capture is pure data" true (Obs.capture obs2 = st)
+  Alcotest.(check string) "read image writes back unchanged" st (image obs2)
 
 (* The headline acceptance invariant, at the API level: kill a checkpointed
    run mid-flight, resume it from disk, and the metrics summary must be

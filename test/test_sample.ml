@@ -102,12 +102,20 @@ let db_arch_fingerprint e =
         :: !acc);
   List.rev !acc
 
+(* The RNG state and pattern cursors, cut from the engine's checkpoint
+   bytes.  At run end the frame stack is empty, so they follow the ten
+   scalar fields and the stack's zero length at a fixed offset: the RNG's
+   8 bytes, then the cursor count and two ints per cursor. *)
+let rng_and_cursors e =
+  let b = Ace_util.Codec.save (fun io -> Engine.sync io e) in
+  if String.get_int64_le b 80 <> 0L then Alcotest.fail "frame stack not empty";
+  let n = Int64.to_int (String.get_int64_le b 96) in
+  String.sub b 88 (16 + (16 * n))
+
 let arch_equal full sampled =
-  let fs = Engine.capture full and ss = Engine.capture sampled in
-  fs.Engine.s_instrs = ss.Engine.s_instrs
-  && fs.Engine.s_overhead_instrs = ss.Engine.s_overhead_instrs
-  && fs.Engine.s_rng = ss.Engine.s_rng
-  && fs.Engine.s_cursors = ss.Engine.s_cursors
+  Engine.instrs full = Engine.instrs sampled
+  && Engine.overhead_instrs full = Engine.overhead_instrs sampled
+  && rng_and_cursors full = rng_and_cursors sampled
   && db_arch_fingerprint full = db_arch_fingerprint sampled
 
 let test_sampled_arch_exact () =
@@ -214,15 +222,13 @@ let test_cluster_reassignment_invalidates () =
   in
   let _, sam = run_sampled_clustered ~classify p in
   let final = !calls / 2000 in
-  let st = Sample.capture sam in
-  Array.iter
-    (fun pe ->
-      match pe.Sample.pe_key with
+  List.iter
+    (function
       | Sample.K_cluster c ->
           if c < final - 1 then
             Alcotest.failf "stale cluster %d survived (final %d)" c final
       | Sample.K_meth _ -> ())
-    st.Sample.s_entries
+    (Sample.record_keys sam)
 
 let test_bbv_cluster_sampled_consistent () =
   (* End to end through the harness: the BBV scheme wires its phase
@@ -256,19 +262,25 @@ let test_bbv_cluster_sampled_consistent () =
 
 (* -- capture / restore and snapshot round-trip ---------------------- *)
 
-let test_capture_restore_roundtrip () =
-  let p = small () in
-  let _, sam = run_sampled p in
-  let st = Sample.capture sam in
-  Alcotest.(check bool) "cache non-empty" true
-    (Array.length st.Sample.s_entries > 0);
+let image sam = Ace_util.Codec.save (fun io -> Sample.sync io sam)
+
+(* Read a sampler's image into a freshly attached one, which must write it
+   back unchanged. *)
+let check_roundtrip p sam =
+  let st = image sam in
   let fresh =
     Sample.attach ~config:Sample.default_config
       ~allow:(fun ~meth_id:_ -> Sample.Allow)
       (Engine.create p)
   in
-  Sample.restore fresh st;
-  Alcotest.(check bool) "capture (restore s) = s" true (Sample.capture fresh = st)
+  Ace_util.Codec.load st (fun io -> Sample.sync io fresh);
+  Alcotest.(check string) "capture (restore s) = s" st (image fresh)
+
+let test_capture_restore_roundtrip () =
+  let p = small () in
+  let _, sam = run_sampled p in
+  Alcotest.(check bool) "cache non-empty" true (Sample.record_keys sam <> []);
+  check_roundtrip p sam
 
 let test_cluster_capture_restore_roundtrip () =
   let p = small () in
@@ -278,17 +290,15 @@ let test_cluster_capture_restore_roundtrip () =
     Some (!calls / 500)
   in
   let _, sam = run_sampled_clustered ~classify p in
-  let st = Sample.capture sam in
+  (* A cluster record implies a header-to-cluster binding, and a splice off
+     a cluster record implies a learned invocation length: both maps are
+     in the image. *)
   Alcotest.(check bool) "cluster state captured" true
-    (Array.length st.Sample.s_meth_instrs > 0
-    && Array.length st.Sample.s_cluster_of_meth > 0);
-  let fresh =
-    Sample.attach ~config:Sample.default_config
-      ~allow:(fun ~meth_id:_ -> Sample.Allow)
-      (Engine.create p)
-  in
-  Sample.restore fresh st;
-  Alcotest.(check bool) "capture (restore s) = s" true (Sample.capture fresh = st)
+    (List.exists
+       (function Sample.K_cluster _ -> true | Sample.K_meth _ -> false)
+       (Sample.record_keys sam)
+    && (Sample.stats sam).Sample.splices > 0);
+  check_roundtrip p sam
 
 let test_sampled_snapshot_roundtrip () =
   let path = Filename.temp_file "ace_sample" ".snap" in
@@ -311,13 +321,15 @@ let test_sampled_snapshot_roundtrip () =
       Alcotest.(check bool) "meta records the sampling config" true
         (s.Snapshot.meta.Snapshot.sample <> None);
       if Stdlib.compare (Snapshot.decode (Snapshot.encode s)) s <> 0 then
-        Alcotest.fail "decode (encode s) <> s for a sampled snapshot")
+        Alcotest.fail "decode (encode s) <> s for a sampled snapshot";
+      if Stdlib.compare (Run.capture (Run.restore s)) s <> 0 then
+        Alcotest.fail "capture (restore s) <> s for a sampled snapshot")
     !snaps;
   Alcotest.(check bool) "a checkpoint carries a populated phase cache" true
     (List.exists
        (fun s ->
-         match s.Snapshot.sample_state with
-         | Some st -> Array.length st.Sample.s_entries > 0
+         match Run.sampler (Run.restore s) with
+         | Some sam -> Sample.record_keys sam <> []
          | None -> false)
        !snaps)
 
