@@ -188,18 +188,18 @@ let obs_json path =
     off metrics full
 
 (* CI mode: wall-clock + allocation measurements of the simulator's hot
-   core (cache access, hierarchy data access, pool dispatch), emitted as
-   BENCH_core.json.  The headline regression guard is
-   [cache_access_minor_words]: the exception-free access path must allocate
-   zero minor words per call. *)
+   core (cache access, hierarchy data access, address generation, pool
+   dispatch), emitted as BENCH_core.json.  The headline regression guards
+   are the [*_minor_words] fields: the engine's per-access path must
+   allocate zero minor words per call. *)
 let core_json path =
   let addrs = Array.init 65536 (fun _ -> 0) in
   let rng = Ace_util.Rng.create ~seed:7 in
   Array.iteri (fun i _ -> addrs.(i) <- Ace_util.Rng.int rng 1_000_000) addrs;
   let mask = Array.length addrs - 1 in
   (* [f] must close over its subject and allocate nothing itself; addresses
-     come from a pre-filled array so the RNG's boxed int64s stay out of the
-     measured loop. *)
+     come from a pre-filled array, and address generation is gated on its
+     own below. *)
   let measure_ns_and_words iters f =
     for i = 1 to 65536 do
       f (Array.unsafe_get addrs (i land mask))
@@ -253,6 +253,27 @@ let core_json path =
   let batch_accesses = float_of_int (batch_iters * batch_n) in
   let data_batch_ns = (t1 -. t0) *. 1e9 /. batch_accesses in
   let data_batch_words = (w1 -. w0) /. batch_accesses in
+  (* Address generation, the other half of the engine's per-chunk work:
+     [Pattern.next_batch] over a [Random_in] cursor, the pattern behind
+     most simulated data accesses, draws one RNG value per address.  Gated
+     per address like the access paths: it must allocate nothing. *)
+  let address_batch_words =
+    let cursor =
+      Ace_isa.Pattern.cursor
+        (Ace_isa.Pattern.Random_in { base = 0; extent = 1_000_000 })
+    in
+    let fill () =
+      Ace_isa.Pattern.next_batch cursor ~rng batch_addrs ~pos:0 ~n:batch_n
+    in
+    for _ = 1 to 50 do
+      fill ()
+    done;
+    let w0 = Gc.minor_words () in
+    for _ = 1 to batch_iters do
+      fill ()
+    done;
+    (Gc.minor_words () -. w0) /. batch_accesses
+  in
   let pool = Ace_util.Pool.create ~num_domains:1 () in
   let jobs = List.init 64 (fun i -> i) in
   let batches = 2_000 in
@@ -324,20 +345,22 @@ let core_json path =
     "{\"cache_access_ns\": %.3f, \"cache_access_minor_words\": %.6f, \
      \"data_access_ns\": %.3f, \"data_access_minor_words\": %.6f, \
      \"data_access_batch_ns\": %.3f, \"data_access_batch_minor_words\": %.6f, \
+     \"address_batch_minor_words\": %.6f, \
      \"pool_dispatch_ns_per_job\": %.1f, \"serve_codec_ns\": %.1f, \
      \"snapshot_encode_ns\": %.1f, \"snapshot_decode_ns\": %.1f, \
      \"io_passthrough_minor_words\": %.6f, \
      \"iters\": %d}\n"
     cache_ns cache_words data_ns data_words data_batch_ns data_batch_words
-    pool_ns serve_codec_ns snapshot_encode_ns snapshot_decode_ns
-    io_passthrough_minor_words iters;
+    address_batch_words pool_ns serve_codec_ns snapshot_encode_ns
+    snapshot_decode_ns io_passthrough_minor_words iters;
   close_out oc;
   Printf.printf
     "wrote %s (cache access %.2f ns / %.4f minor words, data access %.2f ns, \
-     batched %.2f ns / %.4f minor words, pool dispatch %.0f ns/job, serve \
-     codec %.0f ns/req, snapshot encode %.0f ns / decode %.0f ns, io \
-     passthrough %.4f minor words)\n"
-    path cache_ns cache_words data_ns data_batch_ns data_batch_words pool_ns
+     batched %.2f ns / %.4f minor words, address batch %.4f minor words, \
+     pool dispatch %.0f ns/job, serve codec %.0f ns/req, snapshot encode \
+     %.0f ns / decode %.0f ns, io passthrough %.4f minor words)\n"
+    path cache_ns cache_words data_ns data_batch_ns data_batch_words
+    address_batch_words pool_ns
     serve_codec_ns snapshot_encode_ns snapshot_decode_ns
     io_passthrough_minor_words
 

@@ -72,19 +72,21 @@ let config t = t.cfg
 
 type result = Hit | Miss | Miss_dirty_victim
 
-(* Hit scan: the slot holding [line], or -1.  Top-level recursion over int
-   arguments so the per-access path allocates nothing (a local [let rec]
-   would close over [t] and box). *)
-let[@inline] rec find_slot tags line base limit =
+(* Hit scan: the slot holding [line], or -1.  The [int] annotations here and
+   on [find_victim] are what keep the scans cheap: left to inference both
+   functions are polymorphic, so every inlined copy would compile [=] and
+   [<] to calls into the C runtime ([caml_equal], [caml_lessthan]) and
+   check each array read for a float array. *)
+let[@inline] rec find_slot (tags : int array) (line : int) base limit =
   if base >= limit then -1
   else if Array.unsafe_get tags base = line then base
   else find_slot tags line (base + 1) limit
 
 (* Victim scan: the first invalid way if any, else the least recently used
-   (first minimum).  Replaces the old [raise Exit] early-exit loop — same
-   selection, but exception-free and allocation-free (no refs, no handler
+   (first minimum).  Exception-free and allocation-free (no refs, no handler
    frame). *)
-let[@inline] rec find_victim tags stamp slot limit best best_stamp =
+let[@inline] rec find_victim (tags : int array) (stamp : int array) slot limit
+    best (best_stamp : int) =
   if slot >= limit then best
   else if Array.unsafe_get tags slot = -1 then slot
   else

@@ -1,37 +1,46 @@
-type t = { mutable state : int64 }
+(* The 64-bit state lives unboxed in an 8-byte buffer.  A mutable [int64]
+   record field would box a fresh 3-word block on every write, and a
+   non-inlined [bits64] would box its result too; read and written through
+   these primitives, with [bits64] inlined, a draw through [int] or [bool]
+   allocates nothing.  Only this module reads the bytes, so their order
+   does not matter. *)
+type t = Bytes.t
+
+external get : Bytes.t -> int -> int64 = "%caml_bytes_get64u"
+external set : Bytes.t -> int -> int64 -> unit = "%caml_bytes_set64u"
 
 let golden_gamma = 0x9E3779B97F4A7C15L
 
-let create ~seed = { state = Int64.of_int seed }
+let of_state state =
+  let t = Bytes.create 8 in
+  set t 0 state;
+  t
 
-let copy t = { state = t.state }
-
-let to_state t = t.state
-let of_state state = { state }
-let set_state t state = t.state <- state
-let sync io t = t.state <- Codec.sync io Codec.int64 t.state
+let create ~seed = of_state (Int64.of_int seed)
+let copy t = of_state (get t 0)
+let to_state t = get t 0
+let set_state t state = set t 0 state
+let sync io t = set t 0 (Codec.sync io Codec.int64 (get t 0))
 
 (* splitmix64 core: advance the state by the golden gamma and scramble. *)
-let bits64 t =
-  t.state <- Int64.add t.state golden_gamma;
-  let z = t.state in
+let[@inline] bits64 t =
+  let z = Int64.add (get t 0) golden_gamma in
+  set t 0 z;
   let z = Int64.mul (Int64.logxor z (Int64.shift_right_logical z 30)) 0xBF58476D1CE4E5B9L in
   let z = Int64.mul (Int64.logxor z (Int64.shift_right_logical z 27)) 0x94D049BB133111EBL in
   Int64.logxor z (Int64.shift_right_logical z 31)
 
-let split t =
-  let seed64 = bits64 t in
-  { state = seed64 }
+let split t = of_state (bits64 t)
 
 (* The state advances by exactly one gamma per [bits64] call, so skipping
    [n] draws is a single multiply-add.  Used by fast-forward simulation to
    keep the stream aligned with what a full run would have consumed. *)
-let skip t n = t.state <- Int64.add t.state (Int64.mul golden_gamma (Int64.of_int n))
+let skip t n = set t 0 (Int64.add (get t 0) (Int64.mul golden_gamma (Int64.of_int n)))
 
 (* Non-negative 62-bit value, safe to use as an OCaml [int]. *)
-let positive_int t = Int64.to_int (Int64.shift_right_logical (bits64 t) 2)
+let[@inline] positive_int t = Int64.to_int (Int64.shift_right_logical (bits64 t) 2)
 
-let int t bound =
+let[@inline] int t bound =
   assert (bound > 0);
   positive_int t mod bound
 

@@ -117,6 +117,31 @@ let prop_next_batch_equiv =
       && Pattern.next ca ~rng:ra = Pattern.next cb ~rng:rb
       && Rng.bits64 ra = Rng.bits64 rb)
 
+(* Address generation is half of the engine's per-chunk work, so it is
+   held to zero minor words per address for every pattern, [Random_in]'s
+   RNG draws included; the tolerance only absorbs the boxed floats of the
+   [Gc.minor_words] readings themselves. *)
+let test_next_batch_no_alloc () =
+  let n = 4096 in
+  let buf = Array.make n 0 in
+  List.iter
+    (fun pattern ->
+      let c = Pattern.cursor pattern and rng = rng () in
+      Pattern.next_batch c ~rng buf ~pos:0 ~n;
+      let w0 = Gc.minor_words () in
+      for _ = 1 to 10 do
+        Pattern.next_batch c ~rng buf ~pos:0 ~n
+      done;
+      let dw = Gc.minor_words () -. w0 in
+      Alcotest.(check bool)
+        (Printf.sprintf "%d addresses cost %.0f minor words" (10 * n) dw)
+        true (dw < 256.0))
+    [
+      Pattern.Sequential { base = 0; extent = 1 lsl 20; stride = 8 };
+      Pattern.Random_in { base = 0; extent = 1 lsl 20 };
+      Pattern.Pointer_chase { base = 0; extent = 1 lsl 20 };
+    ]
+
 let suite =
   [
     Tu.case "sequential walk" test_sequential_walk;
@@ -131,4 +156,5 @@ let suite =
     Tu.case "validate" test_validate;
     Tu.qcheck prop_all_patterns_in_bounds;
     Tu.qcheck prop_next_batch_equiv;
+    Tu.case "next_batch allocates nothing" test_next_batch_no_alloc;
   ]

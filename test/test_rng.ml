@@ -10,17 +10,70 @@ let test_seed_sensitivity () =
   let a = Rng.create ~seed:1 and b = Rng.create ~seed:2 in
   Alcotest.(check bool) "different seeds differ" false (Rng.bits64 a = Rng.bits64 b)
 
+(* The published splitmix64 outputs for seed 0: the stream, not just its
+   determinism, is what every recorded experiment depends on. *)
+let test_known_answer () =
+  let rng = Rng.create ~seed:0 in
+  List.iter
+    (fun expected -> Alcotest.(check int64) "splitmix64 seed 0" expected (Rng.bits64 rng))
+    [ 0xE220A8397B1DCDAFL; 0x6E789E6AA1B965F4L; 0x06C45D188009454FL ]
+
+(* Seed 42's first [int] draws, recorded when the state was a boxed
+   [int64]: a change of representation must leave them as they are. *)
+let test_int_sequence () =
+  let rng = Rng.create ~seed:42 in
+  let got = List.init 10 (fun _ -> Rng.int rng 1000) in
+  Alcotest.(check (list int)) "seed 42 int 1000"
+    [ 853; 72; 964; 941; 812; 265; 231; 977; 501; 243 ] got
+
+(* Draw from [a] and [b] in the order [schedule] gives ([true] = [a]) and
+   return each one's draws in order. *)
+let interleave a b schedule =
+  let xa = ref [] and xb = ref [] in
+  List.iter
+    (fun from_a ->
+      if from_a then xa := Rng.bits64 a :: !xa else xb := Rng.bits64 b :: !xb)
+    schedule;
+  (List.rev !xa, List.rev !xb)
+
+let rec is_prefix xs ys =
+  match (xs, ys) with
+  | [], _ -> true
+  | x :: xs, y :: ys -> x = y && is_prefix xs ys
+  | _ :: _, [] -> false
+
+(* A copy replays the original's draws under every interleaving of 8 draws;
+   two generators sharing one mutable state would each lose the other's
+   draws from its stream. *)
 let test_copy_independent () =
+  for bits = 0 to 255 do
+    let schedule = List.init 8 (fun i -> bits land (1 lsl i) <> 0) in
+    let a = Rng.create ~seed:9 in
+    ignore (Rng.bits64 a);
+    let b = Rng.copy a in
+    let xa, xb = interleave a b schedule in
+    Alcotest.(check bool) "copy replays the original's draws" true
+      (if List.length xa <= List.length xb then is_prefix xa xb else is_prefix xb xa)
+  done
+
+(* Generators built from another's state or split from it own their
+   state: drawing from one never moves the other. *)
+let test_no_aliasing () =
   let a = Rng.create ~seed:9 in
+  let s = Rng.to_state a in
+  let b = Rng.of_state s and c = Rng.of_state s in
+  ignore (Rng.bits64 b);
+  Alcotest.(check int64) "of_state leaves its source alone" s (Rng.to_state a);
+  Alcotest.(check int64) "of_state twice gives two generators" s (Rng.to_state c);
+  let child = Rng.split a in
+  let parent_state = Rng.to_state a in
+  ignore (Rng.bits64 child);
+  Alcotest.(check int64) "the split child leaves the parent alone" parent_state
+    (Rng.to_state a);
+  let child_state = Rng.to_state child in
   ignore (Rng.bits64 a);
-  let b = Rng.copy a in
-  let xa = Rng.bits64 a and xb = Rng.bits64 b in
-  Alcotest.(check int64) "copy continues from same state" xa xb;
-  ignore (Rng.bits64 a);
-  (* advancing a does not advance b *)
-  let xa2 = Rng.bits64 a and xb2 = Rng.bits64 b in
-  Alcotest.(check bool) "streams diverge after independent draws" true (xa2 <> xb2 || xa2 = xb2);
-  ignore (xa2, xb2)
+  Alcotest.(check int64) "the parent leaves the split child alone" child_state
+    (Rng.to_state child)
 
 let test_split_independent () =
   let parent = Rng.create ~seed:5 in
@@ -166,6 +219,9 @@ let suite =
     Tu.case "determinism" test_determinism;
     Tu.case "seed sensitivity" test_seed_sensitivity;
     Tu.case "copy is independent" test_copy_independent;
+    Tu.case "splitmix64 known answer" test_known_answer;
+    Tu.case "seed 42 int sequence" test_int_sequence;
+    Tu.case "of_state and split do not alias" test_no_aliasing;
     Tu.case "split is independent" test_split_independent;
     Tu.case "int bounds" test_int_bounds;
     Tu.case "int_in bounds" test_int_in_bounds;
