@@ -102,7 +102,9 @@ let instrs t =
 
    The header is fixed-width so a truncated file is detected before any
    payload parsing, and the CRC covers exactly the bytes the decoder will
-   read.  The payload is the meta record, then the body. *)
+   read.  The payload is the meta record, then the body.  The container is
+   allocated once at its final size and the payload copied into it once;
+   the CRC is computed over the meta and the body where they already are. *)
 
 let magic = "ACESNAP1"
 let version = 4
@@ -112,18 +114,20 @@ let version = 4
    per-method instruction lengths, cluster map, blocked counters. *)
 let header_len = 8 + 2 + 8 + 8
 
-let encode t =
+let container t =
   let meta = to_string meta_codec t.meta in
-  let len = String.length meta + String.length t.body in
-  let crc = Crc32.update (Crc32.string meta) t.body ~pos:0 ~len:(String.length t.body) in
-  let b = Buffer.create (header_len + len) in
-  Buffer.add_string b magic;
-  Buffer.add_uint16_le b version;
-  Buffer.add_int64_le b (Int64.of_int len);
-  Buffer.add_int64_le b (Int64.of_int crc);
-  Buffer.add_string b meta;
-  Buffer.add_string b t.body;
-  Buffer.contents b
+  let meta_len = String.length meta and body_len = String.length t.body in
+  let crc = Crc32.update (Crc32.string meta) t.body ~pos:0 ~len:body_len in
+  let b = Bytes.create (header_len + meta_len + body_len) in
+  Bytes.blit_string magic 0 b 0 8;
+  Bytes.set_uint16_le b 8 version;
+  Bytes.set_int64_le b 10 (Int64.of_int (meta_len + body_len));
+  Bytes.set_int64_le b 18 (Int64.of_int crc);
+  Bytes.blit_string meta 0 b header_len meta_len;
+  Bytes.blit_string t.body 0 b (header_len + meta_len) body_len;
+  b
+
+let encode t = Bytes.unsafe_to_string (container t)
 
 let decode s =
   let fail e = raise (Error e) in
@@ -158,7 +162,7 @@ let decode s =
 let fallback_path path = path ^ ".1"
 
 let write ?(io = Io.real) ?(faults = Faults.none) ?(obs = Obs.null) ~path t =
-  let data = Bytes.of_string (encode t) in
+  let data = container t in
   (* Storage-channel fault injection damages the bytes on their way to disk;
      the CRC then refuses them at read time and the reader falls back. *)
   ignore (Faults.maybe_corrupt_snapshot faults data);

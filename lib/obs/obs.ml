@@ -70,8 +70,17 @@ type t = {
   gauges : (string, gauge) Hashtbl.t;
   hists : (string, histogram) Hashtbl.t;
   cap : int;
-  buf : event array; (* ring; length 0 unless lvl = Full *)
-  mutable start : int;
+  (* The ring keeps each event as its [event_codec] encoding, oldest first
+     and back to back in [log], so a checkpoint copies the ring's bytes
+     instead of encoding its events again.  Offsets are virtual: virtual
+     offset [v] is byte [v - base] of [log], so moving the live bytes to the
+     front of [log] moves only [base].  All empty unless lvl = Full. *)
+  offs : int array; (* virtual start of each retained event, by ring slot *)
+  mutable log : Bytes.t;
+  mutable base : int;
+  mutable tail : int; (* virtual end of the newest event *)
+  scratch : Buffer.t; (* one event's encoding on its way into [log] *)
+  mutable start : int; (* ring slot of the oldest event *)
   mutable len : int;
   mutable n_dropped : int;
   mutable clock : unit -> int;
@@ -87,7 +96,11 @@ let create ?(capacity = 65536) lvl =
     gauges = Hashtbl.create 8;
     hists = Hashtbl.create 8;
     cap;
-    buf = Array.make cap dummy_event;
+    offs = Array.make cap 0;
+    log = Bytes.empty;
+    base = 0;
+    tail = 0;
+    scratch = Buffer.create (if cap > 0 then 256 else 1);
     start = 0;
     len = 0;
     n_dropped = 0;
@@ -195,26 +208,6 @@ let metrics t =
 
 (* -- event ring ----------------------------------------------------- *)
 
-let push t ev =
-  if t.len < t.cap then begin
-    t.buf.((t.start + t.len) mod t.cap) <- ev;
-    t.len <- t.len + 1
-  end
-  else begin
-    t.buf.(t.start) <- ev;
-    t.start <- (t.start + 1) mod t.cap;
-    t.n_dropped <- t.n_dropped + 1
-  end
-
-let record t kind = if t.lvl = Full then push t { ts = t.clock (); kind }
-let event_count t = t.len
-let dropped t = t.n_dropped
-
-let events t =
-  List.init t.len (fun i -> t.buf.((t.start + i) mod t.cap))
-
-(* -- checkpoints ------------------------------------------------------ *)
-
 let kind_codec =
   let open Ace_util.Codec in
   let phase_enter = case 0 (pair int string) (fun (id, name) -> Phase_enter { id; name })
@@ -284,6 +277,60 @@ let event_codec =
   and+ kind = field kind_codec (fun ev -> ev.kind) in
   { ts; kind }
 
+let oldest t = if t.len = 0 then t.tail else t.offs.(t.start)
+
+(* Room for [k] more bytes after the newest event.  The live bytes move to
+   the front of the log: in place when they and the new event fill at most
+   half of it, so the bytes recorded since the last move pay for each move;
+   otherwise into a log twice their size. *)
+let reserve t k =
+  if t.tail - t.base + k > Bytes.length t.log then begin
+    let lo = oldest t - t.base in
+    let live = t.tail - t.base - lo in
+    let dst =
+      if 2 * (live + k) <= Bytes.length t.log then t.log
+      else Bytes.create (2 * (live + k))
+    in
+    Bytes.blit t.log lo dst 0 live;
+    t.log <- dst;
+    t.base <- t.base + lo
+  end
+
+(* Ring slots run from 0 to [cap - 1]; [i < 2 * cap] here. *)
+let slot t i = if i >= t.cap then i - t.cap else i
+
+let push t ev =
+  Buffer.clear t.scratch;
+  Ace_util.Codec.append event_codec t.scratch ev;
+  if t.len = t.cap then begin
+    t.start <- slot t (t.start + 1);
+    t.len <- t.len - 1;
+    t.n_dropped <- t.n_dropped + 1
+  end;
+  let k = Buffer.length t.scratch in
+  reserve t k;
+  Buffer.blit t.scratch 0 t.log (t.tail - t.base) k;
+  t.offs.(slot t (t.start + t.len)) <- t.tail;
+  t.tail <- t.tail + k;
+  t.len <- t.len + 1
+
+let record t kind = if t.lvl = Full then push t { ts = t.clock (); kind }
+let event_count t = t.len
+let dropped t = t.n_dropped
+
+let events t =
+  let lo = oldest t in
+  let s = Bytes.sub_string t.log (lo - t.base) (t.tail - lo) in
+  let rec decode pos acc =
+    if pos = String.length s then List.rev acc
+    else
+      let ev, pos = Ace_util.Codec.prefix event_codec s ~pos in
+      decode pos (ev :: acc)
+  in
+  decode 0 []
+
+(* -- checkpoints ------------------------------------------------------ *)
+
 let counter_codec =
   let open Ace_util.Codec in
   let+ c_name = field string (fun c -> c.c_name)
@@ -330,6 +377,8 @@ let clear t =
     t.hists;
   t.start <- 0;
   t.len <- 0;
+  t.base <- 0;
+  t.tail <- 0;
   t.n_dropped <- 0
 
 let sync io t =
@@ -351,14 +400,19 @@ let sync io t =
         Array.blit r.h_counts 0 h.h_counts 0 n;
         h.h_total <- r.h_total;
         h.h_sum <- r.h_sum);
-    (* The ring is written in place, oldest first; a [Full] sink takes the
-       events back (truncated to its capacity, counting further drops). *)
+    (* The ring is written as the log's live bytes, oldest first; reading
+       decodes every event, and a [Full] sink takes them back (truncated to
+       its capacity, counting further drops). *)
     let n = sync_length io t.len in
-    for i = 0 to n - 1 do
-      let live = if reading io then dummy_event else t.buf.((t.start + i) mod t.cap) in
-      let ev = sync io event_codec live in
-      if reading io && t.lvl = Full then push t ev
-    done;
+    if reading io then
+      for _ = 1 to n do
+        let ev = sync io event_codec dummy_event in
+        if t.lvl = Full then push t ev
+      done
+    else begin
+      let lo = oldest t in
+      write_encoded io t.log ~pos:(lo - t.base) ~len:(t.tail - lo)
+    end;
     let dropped = sync io int t.n_dropped in
     if reading io && t.lvl = Full then t.n_dropped <- t.n_dropped + dropped
   end

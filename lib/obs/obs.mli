@@ -3,8 +3,9 @@
     One sink ({!t}) is threaded through [Engine], [Framework], [Tuner],
     [Hierarchy], [Faults] and [Snapshot] and carries three things:
 
-    - a typed, bounded ring buffer of {!event}s timestamped with the
-      engine's instruction counter (so all timestamps share one monotone
+    - a typed, bounded ring of {!event}s timestamped with the
+      engine's instruction counter, each kept as its encoding in one byte
+      log (so all timestamps share one monotone
       clock and a timeline can be reconstructed after the fact);
     - a metrics registry of named counters, gauges and fixed-bucket
       histograms, cheap enough to leave always-on;
@@ -18,8 +19,9 @@
     immutable field and nothing else; {!null} is the distinguished always-off
     sink that every producer defaults to.  [Metrics] additionally updates
     registry cells (integer/float stores, no allocation per emission).
-    [Full] also records ring events, which allocates one event per
-    recording.
+    [Full] also records ring events: each recording builds the event and
+    encodes it into the ring's byte log, allocating only short-lived
+    words.
 
     Because the OCaml native compiler boxes float arguments at non-inlined
     call sites, producers must gate float-carrying emissions at the call
@@ -91,7 +93,7 @@ val null : t
 
 val create : ?capacity:int -> level -> t
 (** A fresh sink.  [capacity] (default 65536, clamped to >= 1) bounds the
-    event ring; once full, the oldest event is overwritten and {!dropped}
+    event ring; once full, recording drops the oldest event and {!dropped}
     counts the loss.  Only [Full] sinks allocate the ring. *)
 
 val level : t -> level
@@ -155,11 +157,14 @@ val metrics : t -> metric list
 (** {2 Event ring} *)
 
 val record : t -> kind -> unit
-(** Record an event at the current clock, if [tracing t].  Gate the call at
-    the site so the [kind] payload is not allocated on colder levels. *)
+(** Record an event at the current clock, if [tracing t]: its encoding is
+    appended to the ring's byte log, the bytes a checkpoint copies.  Gate
+    the call at the site so the [kind] payload is not allocated on colder
+    levels. *)
 
 val events : t -> event list
-(** Retained events, oldest first, timestamps non-decreasing. *)
+(** Retained events, oldest first, timestamps non-decreasing, decoded from
+    the ring's bytes on every call. *)
 
 val event_count : t -> int
 val dropped : t -> int
@@ -170,10 +175,12 @@ val dropped : t -> int
 val sync : Ace_util.Codec.io -> t -> unit
 (** The sink's image, so a resumed run continues its metrics and timeline
     seamlessly: registered cells sorted by name, then the ring oldest
-    first, written in place (an [Off] sink writes an empty option).
+    first, copied as the encoded bytes it holds (an [Off] sink writes an
+    empty option).
     Reading a present image makes the sink that image — cells it lacks
     drop to zero, missing cells are registered, and a [Full] sink takes
-    the events back, truncated to its capacity with further drops counted;
+    the events back, each decoded and checked, truncated to its capacity
+    with further drops counted;
     an absent image leaves the sink as it is.
     @raise Ace_util.Codec.Error on a histogram whose bounds do not
     increase. *)

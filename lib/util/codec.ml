@@ -8,6 +8,8 @@ type reader = { s : string; mutable pos : int }
 type ('r, 'a) field = { enc : Buffer.t -> 'r -> unit; dec : reader -> 'a }
 type 'a t = ('a, 'a) field
 
+let append c b v = c.enc b v
+
 let to_string c v =
   let b = Buffer.create 4096 in
   c.enc b v;
@@ -216,6 +218,11 @@ let sync_length io n =
       int.enc b n;
       n
   | Read r -> length r
+
+let write_encoded io src ~pos ~len =
+  match io with
+  | Write b -> Buffer.add_subbytes b src pos len
+  | Read _ -> invalid_arg "Codec.write_encoded"
 
 let expect_length n a =
   if n <> Array.length a then fail "%d elements where %d live" n (Array.length a)

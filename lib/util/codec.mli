@@ -43,6 +43,10 @@ type 'a t
 
 val to_string : 'a t -> 'a -> string
 
+val append : 'a t -> Buffer.t -> 'a -> unit
+(** [append c b v] adds the bytes [to_string c v] returns to the end of
+    [b], without building the string. *)
+
 val of_string : 'a t -> string -> 'a
 (** @raise Error on malformed input, including trailing bytes. *)
 
@@ -156,6 +160,13 @@ val sync : io -> 'a t -> 'a -> 'a
 val sync_length : io -> int -> int
 (** A length prefix: written as an [int]; read back checked to be
     non-negative and no larger than the remaining input. *)
+
+val write_encoded : io -> Bytes.t -> pos:int -> len:int -> unit
+(** [write_encoded io src ~pos ~len] writes [len] bytes of [src] from
+    [pos] as they are: values encoded earlier with {!append}, kept by a
+    writer that would otherwise encode them again.  A reader decodes them
+    with their codec.
+    @raise Invalid_argument on a read cursor or a range outside [src]. *)
 
 val sync_array : io -> 'a t -> 'a array -> unit
 (** The elements of an array the live object owns, in the layout of

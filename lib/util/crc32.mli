@@ -6,4 +6,8 @@ val string : string -> int
 
 val update : int -> string -> pos:int -> len:int -> int
 (** Incremental form: [update crc s ~pos ~len] extends [crc] with a
-    substring.  [string s = update 0 s ~pos:0 ~len:(String.length s)]. *)
+    substring.  [string s = update 0 s ~pos:0 ~len:(String.length s)], and
+    [update (update crc s ~pos ~len:k) s ~pos:(pos + k) ~len:(len - k)] is
+    [update crc s ~pos ~len].  Only the low 32 bits of [crc] are used.
+    @raise Invalid_argument unless [0 <= pos], [0 <= len] and
+    [pos + len <= String.length s]. *)

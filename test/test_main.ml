@@ -3,6 +3,7 @@ let () =
     [
       ("rng", Test_rng.suite);
       ("pool", Test_pool.suite);
+      ("crc32", Test_crc32.suite);
       ("stats", Test_stats.suite);
       ("table", Test_table.suite);
       ("pattern", Test_pattern.suite);

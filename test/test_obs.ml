@@ -42,6 +42,62 @@ let test_ring_bounded () =
   let last = List.nth (Obs.events obs) 7 in
   Alcotest.(check int) "newest retained" 20 last.Obs.ts
 
+(* Events of every size: strings from empty to ~200 bytes make each
+   encoding a different length, so eviction, the log's growth and the moves
+   of its live bytes to the front are all exercised.  Floats stay finite
+   so the list model can compare events with [=]. *)
+let gen_kind =
+  let open QCheck.Gen in
+  let str = string_size ~gen:char (int_range 0 200) and id = int_range (-5) 100_000 in
+  let fl = oneof [ return 0.0; float_range (-1e9) 1e9 ] in
+  oneof
+    [
+      map2 (fun id name -> Obs.Phase_enter { id; name }) id str;
+      map2 (fun id ipc -> Obs.Phase_exit { id; ipc }) id fl;
+      map (fun id -> Obs.Recompile { id }) id;
+      map4 (fun id cfg energy ipc -> Obs.Trial_result { id; cfg; energy; ipc }) id str fl fl;
+      map3 (fun cu label flushed -> Obs.Reconfig { cu; label; flushed }) str str id;
+      map2 (fun op path -> Obs.Io_fault { op; path }) str str;
+      map (fun cu -> Obs.Cu_failed { cu }) str;
+    ]
+
+let rec drop k l = if k <= 0 then l else match l with [] -> [] | _ :: r -> drop (k - 1) r
+
+(* The ring against a list model: it keeps the last [capacity] events,
+   oldest first, and counts the rest as drops.  Its image loads into a sink
+   of the same capacity unchanged, and into a smaller one truncated with
+   the lost events counted. *)
+let prop_ring_model =
+  QCheck.Test.make ~count:300 ~name:"ring of variable-size events matches a list model"
+    QCheck.(
+      triple (int_range 1 17) (make Gen.(list_size (int_range 0 300) gen_kind))
+        (int_range 1 17))
+    (fun (capacity, kinds, smaller) ->
+      let obs, tick = clocked ~capacity () in
+      List.iteri
+        (fun i kind ->
+          tick := i / 3;
+          Obs.record obs kind)
+        kinds;
+      let n = List.length kinds in
+      let model = drop (n - capacity) (List.mapi (fun i kind -> { Obs.ts = i / 3; kind }) kinds) in
+      let image sink = Ace_util.Codec.save (fun io -> Obs.sync io sink) in
+      let st = image obs in
+      let same = Obs.create ~capacity Obs.Full in
+      Ace_util.Codec.load st (fun io -> Obs.sync io same);
+      let small_cap = min smaller capacity in
+      let small = Obs.create ~capacity:small_cap Obs.Full in
+      Ace_util.Codec.load st (fun io -> Obs.sync io small);
+      let kept = List.length model in
+      Obs.events obs = model
+      && Obs.event_count obs = kept
+      && Obs.dropped obs = n - kept
+      && Obs.events same = model
+      && Obs.dropped same = Obs.dropped obs
+      && image same = st
+      && Obs.events small = drop (kept - small_cap) model
+      && Obs.dropped small = n - min kept small_cap)
+
 let test_registry_idempotent () =
   let obs = Obs.create Obs.Metrics in
   let a = Obs.counter obs "x.same" in
@@ -294,6 +350,7 @@ let test_resume_metrics_identity () =
 let suite =
   [
     Tu.case "ring is bounded and counts drops" test_ring_bounded;
+    Tu.qcheck prop_ring_model;
     Tu.case "registry registration is idempotent" test_registry_idempotent;
     Tu.case "histogram bucket edges" test_histogram_buckets;
     Tu.case "off sink is inert" test_off_sink_inert;

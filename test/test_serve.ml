@@ -552,7 +552,18 @@ let test_daemon_chaos_soak () =
                 start_daemon ~kill_after ~workers:2 ~queue_max:8 ~socket ~spool ()
               in
               live := Some pid;
-              wait_until ~what:"chaos daemon socket" (daemon_ready ~socket);
+              (* A life whose kill point comes within its first few
+                 milliseconds can die before it ever answers a status
+                 request; its exit status is then already waiting. *)
+              let exited = ref None in
+              wait_until ~what:"chaos daemon socket" (fun () ->
+                  daemon_ready ~socket ()
+                  ||
+                  match Unix.waitpid [ Unix.WNOHANG ] pid with
+                  | 0, _ -> false
+                  | _, st ->
+                      exited := Some st;
+                      true);
               let all_done () =
                 match Client.status ~socket with
                 | Protocol.Status_ok r ->
@@ -564,6 +575,15 @@ let test_daemon_chaos_soak () =
                       ids
                 | _ -> false
                 | exception Client.Client_error _ -> false
+              in
+              let finished = function
+                | Unix.WEXITED 3 -> live := None
+                | st ->
+                    Alcotest.failf "chaos life %d: unexpected exit %s" i
+                      (match st with
+                      | Unix.WEXITED n -> Printf.sprintf "code %d" n
+                      | Unix.WSIGNALED s -> Printf.sprintf "signal %d" s
+                      | Unix.WSTOPPED s -> Printf.sprintf "stop %d" s)
               in
               let rec await () =
                 match Unix.waitpid [ Unix.WNOHANG ] pid with
@@ -577,15 +597,9 @@ let test_daemon_chaos_soak () =
                       Unix.sleepf 0.02;
                       await ()
                     end
-                | _, Unix.WEXITED 3 -> live := None
-                | _, st ->
-                    Alcotest.failf "chaos life %d: unexpected exit %s" i
-                      (match st with
-                      | Unix.WEXITED n -> Printf.sprintf "code %d" n
-                      | Unix.WSIGNALED s -> Printf.sprintf "signal %d" s
-                      | Unix.WSTOPPED s -> Printf.sprintf "stop %d" s)
+                | _, st -> finished st
               in
-              await ())
+              match !exited with Some st -> finished st | None -> await ())
             kill_points;
           (* Final life: no chaos; everything must complete. *)
           let pid = start_daemon ~workers:2 ~queue_max:8 ~socket ~spool () in
