@@ -20,21 +20,6 @@ type config = {
   io : Io.t;
 }
 
-let default_config ~socket_path ~spool_dir ~workers =
-  {
-    socket_path;
-    spool_dir;
-    workers;
-    queue_max = 64;
-    checkpoint_every = 10_000_000;
-    kill_after = None;
-    obs_level = Obs.Metrics;
-    trace = None;
-    metrics = None;
-    verbose = false;
-    io = Io.real;
-  }
-
 (* -- job control exceptions (raised from [on_boundary]) ------------- *)
 
 exception Deadline_exceeded of float
@@ -576,27 +561,33 @@ let run cfg =
       job_event t e.Spool.id "queued";
       log t "job %d recovered from spool" e.Spool.id)
     scanned.Spool.pending;
+  (* Settled jobs are listed for status queries only; they never run. *)
+  let settled id state =
+    ignore
+      (enqueue t ~id
+         ~spec:(Protocol.job_spec ~workload:"?" Ace_harness.Scheme.Hotspot)
+         ~state)
+  in
   List.iter
     (fun id ->
-      match Spool.read_result ~io:cfg.io ~dir:cfg.spool_dir id with
-      | Some _ ->
-          ignore
-            (enqueue t ~id
-               ~spec:(Protocol.job_spec ~workload:"?" Ace_harness.Scheme.Hotspot)
-               ~state:Done)
-      | None -> ())
+      if Spool.read_result ~io:cfg.io ~dir:cfg.spool_dir id <> None then
+        settled id Done)
     scanned.Spool.done_ids;
   List.iter
     (fun id ->
-      let reason =
-        Option.value ~default:""
-          (Spool.read_failed ~io:cfg.io ~dir:cfg.spool_dir id)
-      in
-      ignore
-        (enqueue t ~id
-           ~spec:(Protocol.job_spec ~workload:"?" Ace_harness.Scheme.Hotspot)
-           ~state:(Failed reason)))
+      settled id
+        (Failed
+           (Option.value ~default:""
+              (Spool.read_failed ~io:cfg.io ~dir:cfg.spool_dir id))))
     scanned.Spool.failed_ids;
+  (* Refusals are not written to the spool: the spec stays unsettled, so
+     a daemon that can decode it (the build that wrote it) still runs the
+     job.  This one only says why it will not. *)
+  List.iter
+    (fun (id, why) ->
+      log t "job %d: spec refused: %s" id why;
+      settled id (Failed ("spec refused: " ^ why)))
+    scanned.Spool.refused;
   (* Signals: SIGTERM/SIGINT request a drain; SIGPIPE must not kill the
      daemon when a client disconnects mid-response. *)
   Sys.set_signal Sys.sigpipe Sys.Signal_ignore;

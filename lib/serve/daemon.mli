@@ -50,11 +50,6 @@ type config = {
           report. *)
 }
 
-val default_config :
-  socket_path:string -> spool_dir:string -> workers:int -> config
-(** queue_max 64, checkpoint cadence 10 M instructions, no chaos, metrics
-    level, no exports, quiet, passthrough [io]. *)
-
 val run : config -> unit
 (** Serve until drained.  Removes a stale socket file at startup and the
     live one at exit.

@@ -1,3 +1,4 @@
+module Codec = Ace_util.Codec
 module Scheme = Ace_harness.Scheme
 
 exception Protocol_error of string
@@ -51,181 +52,112 @@ type response =
   | Stopping
   | Error_resp of string
 
-(* -- JSON mapping --------------------------------------------------- *)
+(* -- codecs ---------------------------------------------------------
 
-let get what conv j =
-  match conv j with Some v -> v | None -> fail "bad %s field" what
+   One description per wire type is its encoder and its decoder.  The
+   encoders write any value; the spec decoder refuses a spec no run could
+   be built from, and since the spool stores specs with the same codec,
+   the wire and the spool share that one validator. *)
 
-let field what conv obj =
-  match Json.member what obj with
-  | Some j -> get what conv j
-  | None -> fail "missing %s field" what
-
-let opt_field what conv obj =
-  match Json.member what obj with
-  | None | Some Json.Null -> None
-  | Some j -> Some (get what conv j)
-
-let json_of_opt f = function None -> Json.Null | Some v -> f v
-
-let json_of_spec (s : job_spec) =
-  Json.Obj
-    [
-      ("workload", Json.Str s.workload);
-      ("scheme", Json.Str (Scheme.name s.scheme));
-      ("scale", Json.Float s.scale);
-      ("seed", Json.Int s.seed);
-      ("fault_rate", json_of_opt (fun r -> Json.Float r) s.fault_rate);
-      ("resilient", Json.Bool s.resilient);
-      ("sample", Json.Bool s.sample);
-      ("deadline_s", json_of_opt (fun d -> Json.Float d) s.deadline_s);
-      ("fail_after", json_of_opt (fun n -> Json.Int n) s.fail_after);
-    ]
-
-let spec_of_json j =
-  let workload = field "workload" Json.to_str j in
-  let scheme_name = field "scheme" Json.to_str j in
-  let scheme =
-    match Scheme.of_string scheme_name with
-    | Some s -> s
-    | None -> fail "unknown scheme %S" scheme_name
-  in
-  let scale = field "scale" Json.to_float j in
-  if not (Float.is_finite scale && scale > 0.0) then
-    fail "scale %g out of range" scale;
-  let seed = field "seed" Json.to_int j in
-  let fault_rate = opt_field "fault_rate" Json.to_float j in
-  (match fault_rate with
+let checked s =
+  if not (Float.is_finite s.scale && s.scale > 0.0) then
+    fail "scale %g out of range" s.scale;
+  (match s.fault_rate with
   | Some r when not (r >= 0.0 && r <= 1.0) -> fail "fault_rate %g out of range" r
   | _ -> ());
-  let resilient = field "resilient" Json.to_bool j in
-  (* Lenient: specs spooled by a pre-sampling daemon simply run unsampled. *)
-  let sample =
-    Option.value ~default:false (opt_field "sample" Json.to_bool j)
-  in
-  if sample && fault_rate <> None && not resilient then
+  if s.sample && s.fault_rate <> None && not s.resilient then
     fail "sample with fault_rate requires resilient";
-  let deadline_s = opt_field "deadline_s" Json.to_float j in
-  (match deadline_s with
+  (match s.deadline_s with
   | Some d when not (d > 0.0) -> fail "deadline_s %g out of range" d
   | _ -> ());
-  let fail_after = opt_field "fail_after" Json.to_int j in
-  (match fail_after with
+  (match s.fail_after with
   | Some n when n <= 0 -> fail "fail_after %d out of range" n
   | _ -> ());
-  {
-    workload;
-    scheme;
-    scale;
-    seed;
-    fault_rate;
-    resilient;
-    sample;
-    deadline_s;
-    fail_after;
-  }
+  s
 
-let json_of_report (r : status_report) =
-  Json.Obj
-    [
-      ("queue_depth", Json.Int r.queue_depth);
-      ("running", Json.Int r.running);
-      ("draining", Json.Bool r.draining);
-      ("degraded", Json.Bool r.degraded);
-      ( "counters",
-        Json.Obj (List.map (fun (k, v) -> (k, Json.Int v)) r.counters) );
-      ( "jobs",
-        Json.List
-          (List.map
-             (fun (ji : job_info) ->
-               Json.Obj
-                 [ ("id", Json.Int ji.id); ("state", Json.Str ji.state) ])
-             r.jobs) );
-    ]
+let spec =
+  let open Codec in
+  let+ workload = field string (fun s -> s.workload)
+  and+ scheme = field (enum "scheme" Scheme.all) (fun s -> s.scheme)
+  and+ scale = field float (fun s -> s.scale)
+  and+ seed = field int (fun s -> s.seed)
+  and+ fault_rate = field (option float) (fun s -> s.fault_rate)
+  and+ resilient = field bool (fun s -> s.resilient)
+  and+ sample = field bool (fun s -> s.sample)
+  and+ deadline_s = field (option float) (fun s -> s.deadline_s)
+  and+ fail_after = field (option int) (fun s -> s.fail_after) in
+  checked
+    { workload; scheme; scale; seed; fault_rate; resilient; sample;
+      deadline_s; fail_after }
 
-let report_of_json j =
-  let queue_depth = field "queue_depth" Json.to_int j in
-  let running = field "running" Json.to_int j in
-  let draining = field "draining" Json.to_bool j in
-  (* Lenient: reports from a pre-degraded-mode daemon simply read healthy. *)
-  let degraded =
-    Option.value ~default:false (opt_field "degraded" Json.to_bool j)
+let report =
+  let open Codec in
+  let job_info =
+    let+ id = field int (fun j -> j.id)
+    and+ state = field string (fun j -> j.state) in
+    { id; state }
   in
-  let counters =
-    match Json.member "counters" j with
-    | Some (Json.Obj fields) ->
-        List.map (fun (k, v) -> (k, get "counter" Json.to_int v)) fields
-    | _ -> fail "missing counters field"
-  in
-  let jobs =
-    List.map
-      (fun ji ->
-        { id = field "id" Json.to_int ji; state = field "state" Json.to_str ji })
-      (field "jobs" Json.to_list j)
-  in
+  let+ queue_depth = field int (fun r -> r.queue_depth)
+  and+ running = field int (fun r -> r.running)
+  and+ draining = field bool (fun r -> r.draining)
+  and+ degraded = field bool (fun r -> r.degraded)
+  and+ counters = field (list (pair string int)) (fun r -> r.counters)
+  and+ jobs = field (list job_info) (fun r -> r.jobs) in
   { queue_depth; running; draining; degraded; counters; jobs }
 
-let tagged tag fields = Json.Obj (("type", Json.Str tag) :: fields)
+let request =
+  let open Codec in
+  let submit = case 0 spec (fun s -> Submit s)
+  and status = case 1 unit (fun () -> Status)
+  and result = case 2 int (fun id -> Result id)
+  and stop = case 3 unit (fun () -> Stop) in
+  variant "request" [ Case submit; Case status; Case result; Case stop ]
+    (fun w -> function
+    | Submit s -> write w submit s
+    | Status -> write w status ()
+    | Result id -> write w result id
+    | Stop -> write w stop ())
 
-let json_of_request = function
-  | Submit spec -> tagged "submit" [ ("spec", json_of_spec spec) ]
-  | Status -> tagged "status" []
-  | Result id -> tagged "result" [ ("id", Json.Int id) ]
-  | Stop -> tagged "stop" []
+let response =
+  let open Codec in
+  let accepted = case 0 int (fun id -> Accepted id)
+  and overloaded = case 1 unit (fun () -> Overloaded)
+  and status_ok = case 2 report (fun r -> Status_ok r)
+  and result_ok =
+    case 3
+      (triple int string (option string))
+      (fun (id, state, output) -> Result_ok { id; state; output })
+  and stopping = case 4 unit (fun () -> Stopping)
+  and error = case 5 string (fun msg -> Error_resp msg) in
+  variant "response"
+    [ Case accepted; Case overloaded; Case status_ok; Case result_ok;
+      Case stopping; Case error ]
+    (fun w -> function
+    | Accepted id -> write w accepted id
+    | Overloaded -> write w overloaded ()
+    | Status_ok r -> write w status_ok r
+    | Result_ok { id; state; output } -> write w result_ok (id, state, output)
+    | Stopping -> write w stopping ()
+    | Error_resp msg -> write w error msg)
 
-let json_of_response = function
-  | Accepted id -> tagged "accepted" [ ("id", Json.Int id) ]
-  | Overloaded -> tagged "overloaded" []
-  | Status_ok r -> tagged "status" [ ("report", json_of_report r) ]
-  | Result_ok { id; state; output } ->
-      tagged "result"
-        [
-          ("id", Json.Int id);
-          ("state", Json.Str state);
-          ("output", json_of_opt (fun s -> Json.Str s) output);
-        ]
-  | Stopping -> tagged "stopping" []
-  | Error_resp msg -> tagged "error" [ ("message", Json.Str msg) ]
+(* Values are small: a buffer that starts in the minor heap, where
+   [Codec.to_string]'s 4 KiB one would not, keeps an encode off the major
+   heap. *)
+let encode c v =
+  let b = Buffer.create 256 in
+  Codec.append c b v;
+  Buffer.contents b
 
-let parse what s =
-  match Json.of_string s with
-  | j -> (j, field "type" Json.to_str j)
-  | exception Json.Parse_error msg -> fail "malformed %s: %s" what msg
+let decode what c s =
+  try Codec.of_string c s
+  with Codec.Error msg -> fail "malformed %s: %s" what msg
 
-let decode_request s =
-  let j, tag = parse "request" s in
-  match tag with
-  | "submit" -> (
-      match Json.member "spec" j with
-      | Some spec -> Submit (spec_of_json spec)
-      | None -> fail "missing spec field")
-  | "status" -> Status
-  | "result" -> Result (field "id" Json.to_int j)
-  | "stop" -> Stop
-  | t -> fail "unknown request type %S" t
-
-let decode_response s =
-  let j, tag = parse "response" s in
-  match tag with
-  | "accepted" -> Accepted (field "id" Json.to_int j)
-  | "overloaded" -> Overloaded
-  | "status" -> (
-      match Json.member "report" j with
-      | Some r -> Status_ok (report_of_json r)
-      | None -> fail "missing report field")
-  | "result" ->
-      Result_ok
-        {
-          id = field "id" Json.to_int j;
-          state = field "state" Json.to_str j;
-          output = opt_field "output" Json.to_str j;
-        }
-  | "stopping" -> Stopping
-  | "error" -> Error_resp (field "message" Json.to_str j)
-  | t -> fail "unknown response type %S" t
-
-let encode_request r = Json.to_string (json_of_request r)
-let encode_response r = Json.to_string (json_of_response r)
+let encode_spec = encode spec
+let decode_spec = decode "spec" spec
+let encode_request = encode request
+let decode_request = decode "request" request
+let encode_response = encode response
+let decode_response = decode "response" response
 
 (* -- framing -------------------------------------------------------- *)
 

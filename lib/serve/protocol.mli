@@ -2,13 +2,19 @@
 
     Transport: a Unix-domain stream socket carrying one request frame and
     one response frame per connection.  A frame is a 4-byte little-endian
-    payload length followed by that many bytes of compact JSON; frames
-    longer than {!max_frame} are refused on both sides, so a corrupt or
-    hostile length prefix can never make the daemon allocate unboundedly.
+    payload length followed by that many bytes of {!Ace_util.Codec}
+    encoding: a tag byte per variant, fixed-width integers and floats,
+    length-prefixed strings and lists.  Frames longer than {!max_frame}
+    are refused on both sides, so a corrupt or hostile length prefix can
+    never make the daemon allocate unboundedly.
 
-    Every codec failure is a {!Protocol_error} (never a raw parser
-    exception), and decoding validates shape strictly — unknown request
-    kinds, missing fields and out-of-range values are all refused. *)
+    The encoding is binary, so the wire is not human-readable.  Each type
+    is described once, as one codec that both encodes and decodes it.
+    Decoding validates strictly: an unknown tag, a truncated value, a
+    trailing byte or an out-of-range spec field is refused, and every
+    failure is a {!Protocol_error}.  A peer built when the protocol was
+    JSON gets a typed error, not a misparse: its frames start with [{],
+    which is no request tag, and it cannot parse a binary reply. *)
 
 type job_spec = {
   workload : string;  (** SPECjvm98 registry name. *)
@@ -20,8 +26,8 @@ type job_spec = {
   sample : bool;
       (** Run under phase-memoized fast-forwarding
           ({!Ace_sample.Sample.default_config}).  Combined with
-          [fault_rate] it requires [resilient] — the decoder refuses the
-          combination otherwise. *)
+          [fault_rate] it requires [resilient] — {!decode_spec} refuses
+          the combination otherwise. *)
   deadline_s : float option;
       (** Wall-clock budget per job; exceeded jobs fail without retry. *)
   fail_after : int option;
@@ -53,8 +59,7 @@ type status_report = {
   draining : bool;
   degraded : bool;
       (** Spool writes are failing with [ENOSPC]: job admission is paused
-          (submits get {!Overloaded}) until a storage probe succeeds.
-          Decoding a report from an older daemon defaults to [false]. *)
+          (submits get {!Overloaded}) until a storage probe succeeds. *)
   counters : (string * int) list;  (** Sorted by name. *)
   jobs : job_info list;  (** Sorted by id. *)
 }
@@ -81,10 +86,16 @@ type response =
 exception Protocol_error of string
 (** Raised by the decoders and framing on any malformed input. *)
 
-val json_of_spec : job_spec -> Json.t
-val spec_of_json : Json.t -> job_spec
-(** The spool stores each job's spec as this JSON object; round-trips
-    exactly ([decode (encode s) = s]). *)
+val encode_spec : job_spec -> string
+
+val decode_spec : string -> job_spec
+(** The spec's codec bytes, as a [Submit] request carries them and the
+    spool stores them; [decode_spec (encode_spec s) = s].  The encoder
+    writes any spec.  The decoder refuses one no run could be built from:
+    a scale that is not finite and positive, a fault rate outside [0, 1],
+    [sample] with a fault rate but without [resilient], or a deadline or
+    [fail_after] that is not positive.
+    @raise Protocol_error on malformed or out-of-range input. *)
 
 val encode_request : request -> string
 val decode_request : string -> request

@@ -1,3 +1,4 @@
+module Crc32 = Ace_util.Crc32
 module Io = Ace_util.Io
 module Scratch = Ace_util.Scratch
 module Snapshot = Ace_ckpt.Snapshot
@@ -9,6 +10,7 @@ type scan_result = {
   pending : entry list;
   done_ids : int list;
   failed_ids : int list;
+  refused : (int * string) list;
 }
 
 let job_file ~dir id ext = Filename.concat dir (Printf.sprintf "job-%06d.%s" id ext)
@@ -38,9 +40,40 @@ let write_atomic io path data =
 let read_file io path =
   if not (Io.exists io path) then None else Some (Io.read_file io path)
 
+(* A spec file is the magic, the CRC-32 of the payload (4 bytes LE), then
+   the payload: the spec's codec bytes. *)
+let spec_magic = "ACESPEC1"
+let spec_header = String.length spec_magic + 4
+
 let write_spec ?(io = Io.real) ~dir id spec =
-  write_atomic io (spec_path ~dir id)
-    (Json.to_string (Protocol.json_of_spec spec))
+  let payload = Protocol.encode_spec spec in
+  let b = Buffer.create (spec_header + String.length payload) in
+  Buffer.add_string b spec_magic;
+  Buffer.add_int32_le b (Int32.of_int (Crc32.string payload));
+  Buffer.add_string b payload;
+  write_atomic io (spec_path ~dir id) (Buffer.contents b)
+
+let read_spec data =
+  if not (String.starts_with ~prefix:spec_magic data) then
+    Error "no ACESPEC1 magic (specs in the older JSON format are not read)"
+  else if String.length data < spec_header then Error "truncated header"
+  else
+    let payload =
+      String.sub data spec_header (String.length data - spec_header)
+    in
+    let stored =
+      Int32.to_int (String.get_int32_le data (String.length spec_magic))
+      land 0xFFFF_FFFF
+    in
+    let computed = Crc32.string payload in
+    if stored <> computed then
+      Error
+        (Printf.sprintf "CRC mismatch: stored %08x, computed %08x" stored
+           computed)
+    else
+      match Protocol.decode_spec payload with
+      | spec -> Ok spec
+      | exception Protocol.Protocol_error msg -> Error msg
 
 let write_result ?(io = Io.real) ~dir id output =
   write_atomic io (result_path ~dir id) output
@@ -88,22 +121,18 @@ let scan ?(io = Io.real) ~dir () =
   let done_ids = ids "result" in
   let failed_ids = ids "failed" in
   let settled id = List.mem id done_ids || List.mem id failed_ids in
-  let pending =
-    List.filter_map
-      (fun id ->
-        if settled id then None
-        else
-          match read_file io (spec_path ~dir id) with
-          | None -> None
-          | Some data -> (
-              match Protocol.spec_of_json (Json.of_string data) with
-              | spec ->
-                  Some { id; spec; snapshot_note = snapshot_note io ~dir id }
-              | exception (Json.Parse_error _ | Protocol.Protocol_error _) ->
-                  None))
-      spec_ids
+  let pending, refused =
+    List.filter (fun id -> not (settled id)) spec_ids
+    |> List.filter_map (fun id ->
+           Option.map
+             (fun data -> (id, read_spec data))
+             (read_file io (spec_path ~dir id)))
+    |> List.partition_map (function
+         | id, Ok spec ->
+             Either.Left { id; spec; snapshot_note = snapshot_note io ~dir id }
+         | id, Error why -> Either.Right (id, why))
   in
   let next_id =
     1 + List.fold_left max 0 (spec_ids @ done_ids @ failed_ids)
   in
-  { next_id; pending; done_ids; failed_ids }
+  { next_id; pending; done_ids; failed_ids; refused }

@@ -3,8 +3,10 @@
     Every accepted job lives in the spool directory as a small family of
     files keyed by id:
 
-    - [job-NNNNNN.spec] — the JSON job spec, written atomically at accept
-      time (this is the durable record that the job exists);
+    - [job-NNNNNN.spec] — the job spec, written atomically at accept time
+      (this is the durable record that the job exists): the 8-byte magic
+      [ACESPEC1], the CRC-32 of the payload (4 bytes little-endian), then
+      the payload, the spec's {!Protocol.encode_spec} bytes;
     - [job-NNNNNN.snap] — the run's checkpoint (plus the [.1]/[.tmp]
       companions [Ace_ckpt.Snapshot.write] manages);
     - [job-NNNNNN.result] — the rendered run output, written atomically on
@@ -15,7 +17,9 @@
     directory: specs without a result/failed file are in-flight and are
     re-enqueued (resuming from the snapshot when one is readable), and ids
     continue from one past the highest ever used, so results never
-    collide.
+    collide.  A spec that cannot be decoded is refused: reported with its
+    reason and never run.  Every spec that an older daemon wrote as JSON
+    is refused this way.
 
     All filesystem access goes through an injectable {!Ace_util.Io.t}
     (default {!Ace_util.Io.real}); the torture harness substitutes fault
@@ -38,12 +42,15 @@ type scan_result = {
   pending : entry list;  (** In-flight jobs, sorted by id. *)
   done_ids : int list;
   failed_ids : int list;
+  refused : (int * string) list;
+      (** Unsettled specs that cannot be decoded, sorted by id, with the
+          reason: no [ACESPEC1] magic (the message names the older JSON
+          format), a truncated header, a CRC mismatch or the
+          {!Protocol.decode_spec} error.  They are not pending. *)
 }
 
 val spec_path : dir:string -> int -> string
 val snap_path : dir:string -> int -> string
-val result_path : dir:string -> int -> string
-val failed_path : dir:string -> int -> string
 
 val ensure_dir : ?io:Ace_util.Io.t -> string -> unit
 (** Create the spool directory (and its parent) if missing. *)
@@ -63,6 +70,6 @@ val clear_snapshots : ?io:Ace_util.Io.t -> dir:string -> int -> unit
 val scan : ?io:Ace_util.Io.t -> dir:string -> unit -> scan_result
 (** Directory entries are sorted before replay, so recovery order is
     deterministic no matter what order the filesystem returns them in.
-    Unparseable spec files are skipped (a crash between [open] and [rename]
-    cannot produce one, so they indicate operator tampering); their ids
-    still count toward [next_id]. *)
+    Specs that cannot be decoded go to [refused] (a crash between [open]
+    and [rename] cannot produce one, so they come from tampering or an
+    older daemon); their ids still count toward [next_id]. *)

@@ -222,6 +222,9 @@ let spool_scenario ~scale ~checkpoint_every ~seed ~workload ~gold w =
           let in_done = scan.Spool.done_ids = [ 1 ] in
           if scan.Spool.failed_ids <> [] then
             violation t "%s: job spuriously quarantined" where;
+          List.iter
+            (fun (_, why) -> violation t "%s: spec refused (%s)" where why)
+            scan.Spool.refused;
           if in_pending && in_done then
             violation t "%s: job duplicated (pending and done)" where;
           match (in_done, in_pending) with

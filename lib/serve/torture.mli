@@ -13,8 +13,9 @@
       run, publish result, clear snapshots).  Recovery is a simulated
       daemon restart ([Spool.ensure_dir] + [Spool.scan] + resume/rerun +
       settle).  Invariants: a job acknowledged (spec renamed into place)
-      is never lost, never duplicated, never spuriously quarantined, and
-      its result is byte-identical to an uninterrupted run.
+      is never lost, never duplicated, never spuriously quarantined, its
+      spec is never refused, and its result is byte-identical to an
+      uninterrupted run.
 
     Crash modes per point: [`Drop] (un-fsynced data lost), [`Keep]
     (everything flushed), plus a torn-write variant for crash points

@@ -242,47 +242,19 @@ let reseal data payload =
   Buffer.add_string b payload;
   Buffer.contents b
 
-type mutation = Flip of int list | Truncate of int
-
-let mutate payload = function
-  | Truncate len -> String.sub payload 0 (len mod String.length payload)
-  | Flip bits ->
-      let b = Bytes.of_string payload in
-      List.iter
-        (fun bit ->
-          let bit = bit mod (8 * Bytes.length b) in
-          let pos = bit / 8 in
-          Bytes.set b pos
-            (Char.chr (Char.code (Bytes.get b pos) lxor (1 lsl (bit mod 8)))))
-        bits;
-      Bytes.to_string b
-
 let fixture_data = lazy (List.map read_fixture fixtures)
 
 let prop_hostile_payload =
-  let gen =
-    (* Offsets are drawn uniformly and reduced modulo the payload size. *)
-    let pos = QCheck.Gen.int_bound (1 lsl 29) in
-    QCheck.Gen.(
-      pair (int_bound (List.length fixtures - 1))
-        (frequency
-           [
-             (3, map (fun l -> Flip l) (list_size (int_range 1 3) pos));
-             (1, map (fun n -> Truncate n) pos);
-           ]))
-  in
+  let gen = QCheck.Gen.(pair (int_bound (List.length fixtures - 1)) Tu.mutation_gen) in
   let print (i, m) =
-    Printf.sprintf "%s: %s" (List.nth fixtures i)
-      (match m with
-      | Truncate n -> Printf.sprintf "truncate %d" n
-      | Flip l -> "flip bits " ^ String.concat "," (List.map string_of_int l))
+    Printf.sprintf "%s: %s" (List.nth fixtures i) (Tu.mutation_to_string m)
   in
   QCheck.Test.make ~name:"hostile payload: a snapshot or a typed error" ~count:1000
     (QCheck.make ~print gen)
     (fun (i, m) ->
       let data = List.nth (Lazy.force fixture_data) i in
       let payload = String.sub data header_len (String.length data - header_len) in
-      match restore_fixture (Snapshot.decode (reseal data (mutate payload m))) with
+      match restore_fixture (Snapshot.decode (reseal data (Tu.mutate payload m))) with
       | _ -> true
       | exception Snapshot.Error _ -> true)
 

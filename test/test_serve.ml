@@ -1,13 +1,12 @@
 (* Wire protocol, spool and daemon tests for ace_serve.
 
-   The unit half round-trips the JSON codecs and framing; the integration
+   The unit half round-trips the codecs and framing; the integration
    half spawns the real binary ([ace_sim serve]) against a private spool,
    drives it through the client library, and asserts the issue's core
    robustness claims: byte-identical results vs batch runs, explicit
    [Overloaded] backpressure, poisoned-job quarantine, and kill -9 /
    chaos-kill restart recovery. *)
 
-module Json = Ace_serve.Json
 module Protocol = Ace_serve.Protocol
 module Spool = Ace_serve.Spool
 module Client = Ace_serve.Client
@@ -15,6 +14,7 @@ module Scheme = Ace_harness.Scheme
 module Run = Ace_harness.Run
 module Render = Ace_harness.Render
 module Scratch = Ace_util.Scratch
+module Io = Ace_util.Io
 
 let compress () = Option.get (Ace_workloads.Specjvm.find "compress")
 
@@ -27,12 +27,13 @@ let expected_output ~scale ~seed scheme =
   Render.run_output (Run.run ~scale ~seed (compress ()) scheme)
 
 (* ------------------------------------------------------------------ *)
-(* JSON / spec codecs                                                  *)
+(* Codecs                                                              *)
 (* ------------------------------------------------------------------ *)
 
 let spec_gen =
   let open QCheck.Gen in
-  let* workload = string_size ~gen:printable (int_range 0 24) in
+  (* Any byte: a length-prefixed string must carry every one. *)
+  let* workload = string_size ~gen:char (int_range 0 24) in
   let* scheme = oneofl [ Scheme.Fixed_baseline; Scheme.Hotspot; Scheme.Bbv ] in
   let* scale = float_range 0.001 64.0 in
   let* seed = int_range 0 1_000_000 in
@@ -47,15 +48,18 @@ let spec_gen =
   { Protocol.workload; scheme; scale; seed; fault_rate; resilient; sample;
     deadline_s; fail_after }
 
-let spec_arbitrary =
-  QCheck.make spec_gen ~print:(fun s -> Json.to_string (Protocol.json_of_spec s))
+let print_spec (s : Protocol.job_spec) =
+  let opt f = Option.fold ~none:"-" ~some:f in
+  Printf.sprintf "%S %s scale %h seed %d faults %s resilient %b sample %b \
+                  deadline %s fail_after %s"
+    s.workload (Scheme.name s.scheme) s.scale s.seed
+    (opt (Printf.sprintf "%h") s.fault_rate) s.resilient s.sample
+    (opt (Printf.sprintf "%h") s.deadline_s) (opt string_of_int s.fail_after)
 
 let prop_spec_roundtrip =
-  QCheck.Test.make ~name:"job spec JSON round-trips exactly" ~count:500
-    spec_arbitrary (fun spec ->
-      Protocol.spec_of_json
-        (Json.of_string (Json.to_string (Protocol.json_of_spec spec)))
-      = spec)
+  QCheck.Test.make ~name:"job spec codec round-trips exactly" ~count:500
+    (QCheck.make ~print:print_spec spec_gen) (fun spec ->
+      Protocol.decode_spec (Protocol.encode_spec spec) = spec)
 
 let test_spec_roundtrip_awkward_strings () =
   (* Workload names the submit path would reject, but the codec must still
@@ -63,11 +67,13 @@ let test_spec_roundtrip_awkward_strings () =
   [ "a\"b"; "back\\slash"; "tab\tnewline\n"; ""; "nul\x00byte"; "\x1f" ]
   |> List.iter (fun workload ->
          let spec = Protocol.job_spec ~workload Scheme.Hotspot in
-         let spec' =
-           Protocol.spec_of_json
-             (Json.of_string (Json.to_string (Protocol.json_of_spec spec)))
-         in
+         let spec' = Protocol.decode_spec (Protocol.encode_spec spec) in
          Alcotest.(check string) "workload survives" workload spec'.Protocol.workload)
+
+let sample_report =
+  { Protocol.queue_depth = 3; running = 2; draining = true; degraded = true;
+    counters = [ ("serve.completed", 5); ("serve.submitted", 9) ];
+    jobs = [ { Protocol.id = 1; state = "done" }; { Protocol.id = 2; state = "running" } ] }
 
 let test_request_roundtrip () =
   let specs =
@@ -86,13 +92,8 @@ let test_request_roundtrip () =
     reqs
 
 let test_response_roundtrip () =
-  let report =
-    { Protocol.queue_depth = 3; running = 2; draining = true; degraded = true;
-      counters = [ ("serve.completed", 5); ("serve.submitted", 9) ];
-      jobs = [ { Protocol.id = 1; state = "done" }; { Protocol.id = 2; state = "running" } ] }
-  in
   let resps =
-    [ Protocol.Accepted 17; Protocol.Overloaded; Protocol.Status_ok report;
+    [ Protocol.Accepted 17; Protocol.Overloaded; Protocol.Status_ok sample_report;
       Protocol.Result_ok { id = 3; state = "done"; output = Some "table\n" };
       Protocol.Result_ok { id = 4; state = "queued"; output = None };
       Protocol.Stopping; Protocol.Error_resp "unknown workload" ]
@@ -103,28 +104,108 @@ let test_response_roundtrip () =
       Alcotest.(check bool) "response round-trips" true (resp = resp'))
     resps
 
+(* Names the response in a failure message; the encoding is binary. *)
+let response_name = function
+  | Protocol.Accepted id -> Printf.sprintf "Accepted %d" id
+  | Protocol.Overloaded -> "Overloaded"
+  | Protocol.Status_ok _ -> "Status_ok"
+  | Protocol.Result_ok { id; state; _ } -> Printf.sprintf "Result_ok %d %s" id state
+  | Protocol.Stopping -> "Stopping"
+  | Protocol.Error_resp msg -> "Error_resp " ^ msg
+
 let test_decode_rejects_garbage () =
-  let expect_protocol_error what f =
+  (* Each case must be refused for the reason it is named for, not for
+     whatever breaks first. *)
+  let expect what ~says f =
     match f () with
     | _ -> Alcotest.failf "%s: expected Protocol_error" what
-    | exception Protocol.Protocol_error _ -> ()
+    | exception Protocol.Protocol_error msg ->
+        if not (contains msg says) then
+          Alcotest.failf "%s: refused as %S, not for %S" what msg says
   in
-  expect_protocol_error "not json" (fun () -> Protocol.decode_request "not json");
-  expect_protocol_error "unknown type" (fun () ->
-      Protocol.decode_request {|{"type":"reboot"}|});
-  expect_protocol_error "missing spec" (fun () ->
-      Protocol.decode_request {|{"type":"submit"}|});
-  expect_protocol_error "bad scheme" (fun () ->
-      Protocol.decode_request
-        {|{"type":"submit","spec":{"workload":"compress","scheme":"turbo","scale":1.0,"seed":1,"resilient":false}}|});
-  expect_protocol_error "negative scale" (fun () ->
-      Protocol.decode_request
-        {|{"type":"submit","spec":{"workload":"compress","scheme":"hotspot","scale":-1.0,"seed":1,"resilient":false}}|});
-  expect_protocol_error "fault rate out of range" (fun () ->
-      Protocol.decode_request
-        {|{"type":"submit","spec":{"workload":"compress","scheme":"hotspot","scale":1.0,"seed":1,"resilient":false,"fault_rate":1.5}}|});
-  expect_protocol_error "unknown response type" (fun () ->
-      Protocol.decode_response {|{"type":"rebooted"}|})
+  let request s () = Protocol.decode_request s in
+  let spec = Protocol.job_spec ~workload:"compress" Scheme.Hotspot in
+  (* The encoder does not validate, so an out-of-range spec encodes. *)
+  let submit s = request (Protocol.encode_request (Protocol.Submit s)) in
+  let submit_bytes = Protocol.encode_request (Protocol.Submit spec) in
+  expect "a JSON request, as an older client sends it" ~says:"bad request tag 123"
+    (request {|{"type":"status"}|});
+  expect "unknown request tag" ~says:"bad request tag 4" (request "\x04");
+  expect "submit without a spec" ~says:"truncated" (request (String.sub submit_bytes 0 1));
+  expect "bad scheme tag" ~says:"bad scheme tag 7" (fun () ->
+      (* The scheme follows the request tag and the length-prefixed
+         workload. *)
+      let b = Bytes.of_string submit_bytes in
+      Bytes.set b (1 + 8 + String.length spec.workload) '\x07';
+      Protocol.decode_request (Bytes.to_string b));
+  expect "negative scale" ~says:"scale" (submit { spec with scale = -1.0 });
+  expect "NaN scale" ~says:"scale" (submit { spec with scale = Float.nan });
+  expect "infinite scale" ~says:"scale" (submit { spec with scale = Float.infinity });
+  expect "fault rate out of range" ~says:"fault_rate"
+    (submit { spec with fault_rate = Some 1.5 });
+  expect "sample with faults, not resilient" ~says:"requires resilient"
+    (submit { spec with sample = true; fault_rate = Some 0.01 });
+  expect "zero deadline" ~says:"deadline_s" (submit { spec with deadline_s = Some 0.0 });
+  expect "zero fail_after" ~says:"fail_after" (submit { spec with fail_after = Some 0 });
+  expect "trailing byte" ~says:"1 trailing bytes"
+    (request (Protocol.encode_request Protocol.Status ^ "\x00"));
+  expect "a JSON response, as an older daemon sends it" ~says:"bad response tag 123"
+    (fun () -> Protocol.decode_response {|{"type":"stopping"}|});
+  expect "unknown response tag" ~says:"bad response tag 6" (fun () ->
+      Protocol.decode_response "\x06")
+
+let mem_spool () =
+  let io = Io.Mem.io (Io.Mem.create ()) and dir = "/spool" in
+  Spool.ensure_dir ~io dir;
+  (io, dir)
+
+let spec_file spec =
+  let io, dir = mem_spool () in
+  Spool.write_spec ~io ~dir 1 spec;
+  Io.read_file io (Spool.spec_path ~dir 1)
+
+(* A spool on the in-memory filesystem holding spec files with these ids
+   and bytes, scanned as a restarted daemon would. *)
+let scan_spec_files files =
+  let io, dir = mem_spool () in
+  List.iter (fun (id, data) -> Io.write_file io (Spool.spec_path ~dir id) data) files;
+  Spool.scan ~io ~dir ()
+
+(* Every encoding a decoder takes from outside the process: frames from a
+   peer and spec files from disk.  A frame decodes to a value or raises
+   [Protocol_error]; a spec file is either pending or refused. *)
+let hostile_targets spec =
+  let request r = (Protocol.encode_request r, fun s -> ignore (Protocol.decode_request s)) in
+  let response r =
+    (Protocol.encode_response r, fun s -> ignore (Protocol.decode_response s))
+  in
+  let spec_file_scan data =
+    match scan_spec_files [ (1, data) ] with
+    | { Spool.pending = [ _ ]; refused = []; _ } | { pending = []; refused = [ _ ]; _ } -> ()
+    | _ -> failwith "spec file neither pending nor refused"
+  in
+  [ ("submit", request (Protocol.Submit spec));
+    ("result request", request (Protocol.Result spec.seed));
+    ("status report", response (Protocol.Status_ok sample_report));
+    ("job result",
+     response (Protocol.Result_ok { id = 3; state = "done"; output = Some spec.workload }));
+    ("error", response (Protocol.Error_resp spec.workload));
+    ("spec file", (spec_file spec, spec_file_scan)) ]
+
+let prop_hostile_bytes =
+  let n = List.length (hostile_targets (Protocol.job_spec ~workload:"" Scheme.Hotspot)) in
+  let print (spec, i, m) =
+    Printf.sprintf "%s of %s: %s"
+      (fst (List.nth (hostile_targets spec) i))
+      (print_spec spec) (Tu.mutation_to_string m)
+  in
+  QCheck.Test.make ~name:"hostile bytes: a value or a Protocol_error" ~count:2000
+    (QCheck.make ~print QCheck.Gen.(triple spec_gen (int_bound (n - 1)) Tu.mutation_gen))
+    (fun (spec, i, m) ->
+      let bytes, decode = snd (List.nth (hostile_targets spec) i) in
+      match decode (Tu.mutate bytes m) with
+      | () -> true
+      | exception Protocol.Protocol_error _ -> true)
 
 (* ------------------------------------------------------------------ *)
 (* Framing                                                             *)
@@ -224,6 +305,28 @@ let test_spool_scan_notes_truncated_snapshot () =
             (String.length note > 0 && contains note "truncated")
       | _ -> Alcotest.fail "expected exactly one pending entry")
 
+(* A spec as a daemon from before the codec format spooled it. *)
+let json_spec =
+  {|{"workload":"compress","scheme":"hotspot","scale":0.1,"seed":3,"fault_rate":null,"resilient":false,"sample":false,"deadline_s":null,"fail_after":null}|}
+
+let test_spool_scan_refuses_undecodable () =
+  let spec = Protocol.job_spec ~workload:"compress" Scheme.Hotspot in
+  let flipped =
+    (* One flipped payload byte: the last, past the 12-byte header. *)
+    let b = Bytes.of_string (spec_file spec) in
+    let last = Bytes.length b - 1 in
+    Bytes.set b last (Char.chr (Char.code (Bytes.get b last) lxor 1));
+    Bytes.to_string b
+  in
+  let scan = scan_spec_files [ (1, json_spec); (2, flipped); (3, spec_file spec) ] in
+  Alcotest.(check (list int)) "only the intact spec is pending"
+    [ 3 ] (List.map (fun e -> e.Spool.id) scan.Spool.pending);
+  Alcotest.(check (list int)) "refused ids" [ 1; 2 ] (List.map fst scan.Spool.refused);
+  let reason id = List.assoc id scan.Spool.refused in
+  Alcotest.(check bool) ("JSON spec: " ^ reason 1) true (contains (reason 1) "JSON");
+  Alcotest.(check bool) ("flipped byte: " ^ reason 2) true (contains (reason 2) "CRC");
+  Alcotest.(check int) "refused ids still count" 4 scan.Spool.next_id
+
 (* ------------------------------------------------------------------ *)
 (* Daemon integration (spawns ../bin/ace_sim.exe)                      *)
 (* ------------------------------------------------------------------ *)
@@ -280,8 +383,7 @@ let get_status ~socket =
   match Client.status ~socket with
   | Protocol.Status_ok r -> r
   | other ->
-      Alcotest.failf "unexpected status response: %s"
-        (Protocol.encode_response other)
+      Alcotest.failf "unexpected status response: %s" (response_name other)
 
 let counter report name =
   match List.assoc_opt name report.Protocol.counters with Some n -> n | None -> 0
@@ -290,7 +392,7 @@ let submit_ok ~socket spec =
   match Client.submit ~socket spec with
   | Protocol.Accepted id -> id
   | other ->
-      Alcotest.failf "submit not accepted: %s" (Protocol.encode_response other)
+      Alcotest.failf "submit not accepted: %s" (response_name other)
 
 let wait_done ~socket id =
   match Client.wait ~socket ~poll_interval:0.03 ~timeout:60.0 id with
@@ -302,7 +404,7 @@ let stop_and_reap ~socket pid =
   (match Client.stop ~socket with
   | Protocol.Stopping -> ()
   | other ->
-      Alcotest.failf "unexpected stop response: %s" (Protocol.encode_response other)
+      Alcotest.failf "unexpected stop response: %s" (response_name other)
   | exception Client.Client_error _ -> ());
   match reap pid with
   | Some (Unix.WEXITED 0) | None -> ()
@@ -347,8 +449,7 @@ let test_daemon_roundtrip_and_backpressure () =
            with
           | Protocol.Overloaded -> ()
           | other ->
-              Alcotest.failf "expected Overloaded, got %s"
-                (Protocol.encode_response other));
+              Alcotest.failf "expected Overloaded, got %s" (response_name other));
           let unknown =
             Client.submit ~socket
               (Protocol.job_spec ~workload:"no-such-benchmark" Scheme.Hotspot)
@@ -357,7 +458,7 @@ let test_daemon_roundtrip_and_backpressure () =
           | Protocol.Error_resp _ -> ()
           | other ->
               Alcotest.failf "expected Error_resp for unknown workload, got %s"
-                (Protocol.encode_response other));
+                (response_name other));
           Alcotest.(check string) "job A byte-identical to batch run"
             (expected_output ~scale:0.2 ~seed:3 Scheme.Hotspot)
             (wait_done ~socket a);
@@ -483,7 +584,7 @@ let test_daemon_degraded_enospc () =
           | Protocol.Overloaded -> ()
           | other ->
               Alcotest.failf "expected Overloaded on a full disk, got %s"
-                (Protocol.encode_response other));
+                (response_name other));
           let r = get_status ~socket in
           Alcotest.(check bool) "status reports degraded" true r.Protocol.degraded;
           Alcotest.(check bool) "io_faults counter ticked" true
@@ -494,7 +595,7 @@ let test_daemon_degraded_enospc () =
           | Protocol.Overloaded -> ()
           | other ->
               Alcotest.failf "expected Overloaded while degraded, got %s"
-                (Protocol.encode_response other));
+                (response_name other));
           (* Space returns; the per-tick probe must clear degraded mode on
              its own — no restart, no operator intervention. *)
           wait_until ~timeout:30.0 ~what:"degraded mode to lift" (fun () ->
@@ -506,6 +607,28 @@ let test_daemon_degraded_enospc () =
           let r = get_status ~socket in
           Alcotest.(check bool) "rejections were counted" true
             (counter r "rejected_overloaded" >= 2);
+          stop_and_reap ~socket pid))
+
+(* A spool written before specs were codec bytes: the daemon refuses the
+   spec and lists the job as failed with the reason, without settling it
+   on disk. *)
+let test_daemon_lists_refused_spec () =
+  with_serve_env (fun ~socket ~spool ->
+      Spool.ensure_dir spool;
+      Out_channel.with_open_bin (Spool.spec_path ~dir:spool 1) (fun oc ->
+          output_string oc json_spec);
+      let pid = start_daemon ~socket ~spool () in
+      Fun.protect
+        ~finally:(fun () -> kill_hard pid)
+        (fun () ->
+          wait_until ~what:"daemon socket" (daemon_ready ~socket);
+          (match Client.result ~socket 1 with
+          | Protocol.Result_ok { state = "failed"; output = Some why; _ } ->
+              Alcotest.(check bool) ("reason says why: " ^ why) true
+                (contains why "spec refused" && contains why "JSON")
+          | other -> Alcotest.failf "job 1: %s" (response_name other));
+          Alcotest.(check (option string)) "nothing settled on disk" None
+            (Spool.read_failed ~dir:spool 1);
           stop_and_reap ~socket pid))
 
 (* Acceptance criterion: kill the daemon 10 seeded times mid-queue via
@@ -639,4 +762,8 @@ let suite =
       test_daemon_degraded_enospc;
     Tu.slow_case "chaos soak: 10 seeded kills, results byte-identical"
       test_daemon_chaos_soak;
+    Tu.case "spool scan refuses undecodable specs" test_spool_scan_refuses_undecodable;
+    Tu.qcheck prop_hostile_bytes;
+    Tu.slow_case "refused spec listed as failed with its reason"
+      test_daemon_lists_refused_spec;
   ]

@@ -78,3 +78,33 @@ let nested_program ?(outer_reps = 40) () =
   (Ace_workloads.Kit.finish k ~entry:main, `Leaf 0, `Middle 1, `Outer 2)
 
 let qcheck = QCheck_alcotest.to_alcotest
+
+(* Hostile bytes: bit flips in, or a truncation of, an encoding.  Offsets
+   are drawn uniformly and reduced modulo the encoding's size. *)
+type mutation = Flip of int list | Truncate of int
+
+let mutate payload = function
+  | Truncate len -> String.sub payload 0 (len mod String.length payload)
+  | Flip bits ->
+      let b = Bytes.of_string payload in
+      List.iter
+        (fun bit ->
+          let bit = bit mod (8 * Bytes.length b) in
+          let pos = bit / 8 in
+          Bytes.set b pos
+            (Char.chr (Char.code (Bytes.get b pos) lxor (1 lsl (bit mod 8)))))
+        bits;
+      Bytes.to_string b
+
+let mutation_gen =
+  let pos = QCheck.Gen.int_bound (1 lsl 29) in
+  QCheck.Gen.(
+    frequency
+      [
+        (3, map (fun l -> Flip l) (list_size (int_range 1 3) pos));
+        (1, map (fun n -> Truncate n) pos);
+      ])
+
+let mutation_to_string = function
+  | Truncate n -> Printf.sprintf "truncate %d" n
+  | Flip l -> "flip bits " ^ String.concat "," (List.map string_of_int l)
