@@ -286,9 +286,10 @@ let core_json path =
   let data_batch_words = (w1 -. w0) /. batch_accesses in
   (* Address generation, the other half of the engine's per-chunk work:
      [Pattern.next_batch] over a [Random_in] cursor, the pattern behind
-     most simulated data accesses, draws one RNG value per address.  Gated
-     per address like the access paths: it must allocate nothing. *)
-  let address_batch_words =
+     most simulated data accesses, draws one RNG value per address.  Timed
+     and gated per address like the access paths: it must allocate
+     nothing. *)
+  let address_batch_ns, address_batch_words =
     let cursor =
       Ace_isa.Pattern.cursor
         (Ace_isa.Pattern.Random_in { base = 0; extent = 1_000_000 })
@@ -300,10 +301,44 @@ let core_json path =
       fill ()
     done;
     let w0 = Gc.minor_words () in
+    let t0 = Unix.gettimeofday () in
     for _ = 1 to batch_iters do
       fill ()
     done;
-    (Gc.minor_words () -. w0) /. batch_accesses
+    let t1 = Unix.gettimeofday () in
+    ( (t1 -. t0) *. 1e9 /. batch_accesses,
+      (Gc.minor_words () -. w0) /. batch_accesses )
+  in
+  (* The L1D pass alone, where it is hit-bound: [Cache.access_batch] on the
+     64 KB 2-way L1D over a random 48 KB footprint, so every access hits
+     and which way holds the line is unpredictable.  The batches cycle
+     through 64 different address arrays: a single replayed batch lets the
+     host's branch predictor learn its way pattern.  [data_access_batch_ns]
+     streams over 1 MB and mostly times misses. *)
+  let l1d_batch_hit_ns =
+    let l1d =
+      Ace_mem.Cache.create
+        { Ace_mem.Cache.size_bytes = 65536; assoc = 2; line_bytes = 64 }
+    in
+    let footprint = 48 * 1024 in
+    let pool =
+      Array.init 64 (fun _ ->
+          Array.init batch_n (fun _ -> Ace_util.Rng.int rng footprint))
+    in
+    let miss_addrs = Array.make batch_n 0 and miss_victims = Array.make batch_n 0 in
+    let pass i =
+      ignore
+        (Ace_mem.Cache.access_batch l1d (Array.unsafe_get pool (i land 63))
+           ~n:batch_n ~loads:3 ~stores:1 ~miss_addrs ~miss_victims)
+    in
+    for i = 1 to 64 do
+      pass i
+    done;
+    let t0 = Unix.gettimeofday () in
+    for i = 1 to batch_iters do
+      pass i
+    done;
+    (Unix.gettimeofday () -. t0) *. 1e9 /. batch_accesses
   in
   let pool = Ace_util.Pool.create ~num_domains:1 () in
   let jobs = List.init 64 (fun i -> i) in
@@ -389,25 +424,27 @@ let core_json path =
     "{\"cache_access_ns\": %.3f, \"cache_access_minor_words\": %.6f, \
      \"data_access_ns\": %.3f, \"data_access_minor_words\": %.6f, \
      \"data_access_batch_ns\": %.3f, \"data_access_batch_minor_words\": %.6f, \
-     \"address_batch_minor_words\": %.6f, \
+     \"address_batch_ns\": %.3f, \"address_batch_minor_words\": %.6f, \
+     \"l1d_batch_hit_ns\": %.3f, \
      \"pool_dispatch_ns_per_job\": %.1f, \"serve_codec_ns\": %.1f, \
      \"snapshot_encode_ns\": %.1f, \"snapshot_decode_ns\": %.1f, \
      \"snapshot_ring_encode_ns\": %.1f, \"snapshot_ring_decode_ns\": %.1f, \
      \"io_passthrough_minor_words\": %.6f, \
      \"iters\": %d}\n"
     cache_ns cache_words data_ns data_words data_batch_ns data_batch_words
-    address_batch_words pool_ns serve_codec_ns snapshot_encode_ns
-    snapshot_decode_ns snapshot_ring_encode_ns snapshot_ring_decode_ns
-    io_passthrough_minor_words iters;
+    address_batch_ns address_batch_words l1d_batch_hit_ns pool_ns serve_codec_ns
+    snapshot_encode_ns snapshot_decode_ns snapshot_ring_encode_ns
+    snapshot_ring_decode_ns io_passthrough_minor_words iters;
   close_out oc;
   Printf.printf
     "wrote %s (cache access %.2f ns / %.4f minor words, data access %.2f ns, \
-     batched %.2f ns / %.4f minor words, address batch %.4f minor words, \
-     pool dispatch %.0f ns/job, serve codec %.0f ns/req, snapshot encode \
-     %.0f ns / decode %.0f ns, ring-full snapshot encode %.0f ns / decode \
-     %.0f ns, io passthrough %.4f minor words)\n"
+     batched %.2f ns / %.4f minor words, address batch %.2f ns / %.4f minor \
+     words, L1D batch hits %.2f ns, pool dispatch %.0f ns/job, serve codec \
+     %.0f ns/req, snapshot encode %.0f ns / decode %.0f ns, ring-full \
+     snapshot encode %.0f ns / decode %.0f ns, io passthrough %.4f minor \
+     words)\n"
     path cache_ns cache_words data_ns data_batch_ns data_batch_words
-    address_batch_words pool_ns
+    address_batch_ns address_batch_words l1d_batch_hit_ns pool_ns
     serve_codec_ns snapshot_encode_ns snapshot_decode_ns
     snapshot_ring_encode_ns snapshot_ring_decode_ns io_passthrough_minor_words
 

@@ -765,7 +765,14 @@ let status_cmd =
         match Serve_client.result ~socket id with
         | Serve_protocol.Result_ok { id; state; output } -> (
             Printf.printf "job %d: %s\n" id state;
-            match output with Some out -> print_string out | None -> ())
+            match output with
+            | Some out ->
+                (* A done job's output ends its last line; a failed job's
+                   reason does not. *)
+                print_string out;
+                if out <> "" && not (String.ends_with ~suffix:"\n" out) then
+                  print_newline ()
+            | None -> ())
         | Serve_protocol.Error_resp msg ->
             Printf.eprintf "ace_sim: %s\n" msg;
             exit 1

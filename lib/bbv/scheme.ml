@@ -296,6 +296,8 @@ let attach ?(config = default_config) ?(faults = Faults.none) engine ~cus =
   hooks.Engine.on_block <-
     (fun ~pc ~instrs ~count -> Vector.add t.vector ~pc ~instrs:(instrs * count));
   hooks.Engine.on_interval <- (fun ~total_instrs:_ -> on_interval t);
+  (* Phases are intervals, not invocations: no entry or exit hook. *)
+  hooks.Engine.observes_call <- (fun ~meth_id:_ -> false);
   t
 
 let finalize t =

@@ -472,6 +472,9 @@ let attach ?(config = default_config) ?(faults = Faults.none) ?(obs = Obs.null)
   hooks.Engine.on_hotspot_promoted <- (fun ~meth_id -> on_promoted t ~meth_id);
   hooks.Engine.on_method_entry <- (fun ~meth_id -> on_entry t ~meth_id);
   hooks.Engine.on_method_exit <- (fun ~meth_id profile -> on_exit t ~meth_id profile);
+  (* For a method without a hotspot state the two hooks only push and pop
+     a coverage mask of 0. *)
+  hooks.Engine.observes_call <- (fun ~meth_id -> Option.is_some t.states.(meth_id));
   t
 
 let finalize t =

@@ -80,9 +80,11 @@ let next_batch c ~rng buf ~pos ~n =
       done;
       c.offset <- !off
   | Random_in { base; extent } ->
-      for i = pos to pos + n - 1 do
-        Array.unsafe_set buf i (base + Ace_util.Rng.int rng extent)
-      done
+      Ace_util.Rng.fill_int rng extent buf ~pos ~n;
+      if base <> 0 then
+        for i = pos to pos + n - 1 do
+          Array.unsafe_set buf i (base + Array.unsafe_get buf i)
+        done
   | Pointer_chase { base; extent } ->
       let granules = extent / 8 |> max 1 in
       let off = ref c.offset and steps = ref c.steps in
@@ -103,10 +105,17 @@ let skip c ~rng n =
   if n > 0 then
     match c.pattern with
     | Sequential { extent; stride; _ } ->
-        let period = ((extent + stride - 1) / stride) in
-        let to_wrap = (extent - c.offset + stride - 1) / stride in
-        if n < to_wrap then c.offset <- c.offset + (n * stride)
-        else c.offset <- (n - to_wrap) mod period * stride
+        (* [offset + n * stride < extent] iff [n < to_wrap]; the bounds keep
+           the product from overflowing, and the common skip, short of the
+           wrap, pays no division. *)
+        if n < 1 lsl 30 && stride < 1 lsl 30 && c.offset + (n * stride) < extent then
+          c.offset <- c.offset + (n * stride)
+        else begin
+          let period = ((extent + stride - 1) / stride) in
+          let to_wrap = (extent - c.offset + stride - 1) / stride in
+          if n < to_wrap then c.offset <- c.offset + (n * stride)
+          else c.offset <- (n - to_wrap) mod period * stride
+        end
     | Random_in _ -> Ace_util.Rng.skip rng n
     | Pointer_chase { extent; _ } ->
         let granules = extent / 8 |> max 1 in

@@ -72,44 +72,83 @@ let config t = t.cfg
 
 type result = Hit | Miss | Miss_dirty_victim
 
-(* Hit scan: the slot holding [line], or -1.  The [int] annotations here and
-   on [find_victim] are what keep the scans cheap: left to inference both
-   functions are polymorphic, so every inlined copy would compile [=] and
-   [<] to calls into the C runtime ([caml_equal], [caml_lessthan]) and
-   check each array read for a float array. *)
-let[@inline] rec find_slot (tags : int array) (line : int) base limit =
-  if base >= limit then -1
-  else if Array.unsafe_get tags base = line then base
-  else find_slot tags line (base + 1) limit
+(* Hit scan: the 1-based way of the set at [base] that holds [line], or 0.
+   Every way is visited and none ends the scan early: each adds its index
+   times a 0/1 flag, and a comparison used as a value compiles to a compare
+   and a flag set, not a jump, so which way hits (a coin flip on a 2-way
+   cache) costs the host no misprediction.  Unrolled for the hierarchy's 2-
+   and 4-way caches; not recursive, so it is inlined into both access
+   paths.  The sum is exact because a line sits in at most one way of its
+   set: fills happen only on a miss, and [sync] refuses a restored set that
+   breaks this.  The [int] annotations keep the comparison and the array
+   reads monomorphic. *)
+let[@inline] holds (tags : int array) (line : int) slot =
+  Bool.to_int (Array.unsafe_get tags slot = line)
+
+let[@inline] find_way tags line base assoc =
+  match assoc with
+  | 2 -> holds tags line base + (2 * holds tags line (base + 1))
+  | 4 ->
+      holds tags line base
+      + (2 * holds tags line (base + 1))
+      + (3 * holds tags line (base + 2))
+      + (4 * holds tags line (base + 3))
+  | _ ->
+      let way = ref 0 in
+      for w = 1 to assoc do
+        way := !way + (w * holds tags line (base + w - 1))
+      done;
+      !way
 
 (* Victim scan: the first invalid way if any, else the least recently used
-   (first minimum).  Exception-free and allocation-free (no refs, no handler
-   frame). *)
-let[@inline] rec find_victim (tags : int array) (stamp : int array) slot limit
-    best (best_stamp : int) =
-  if slot >= limit then best
-  else if Array.unsafe_get tags slot = -1 then slot
-  else
-    let s = Array.unsafe_get stamp slot in
-    if s < best_stamp then find_victim tags stamp (slot + 1) limit slot s
-    else find_victim tags stamp (slot + 1) limit best best_stamp
+   (first minimum).  No recursion, so it is inlined and leaves the batch
+   loop free of calls; on a 2-way cache the choice is computed from flags,
+   since which way is older is as unpredictable as which way hits. *)
+let[@inline] find_victim (tags : int array) (stamp : int array) base assoc =
+  if assoc = 2 then
+    let invalid0 = Bool.to_int (Array.unsafe_get tags base = -1)
+    and invalid1 = Bool.to_int (Array.unsafe_get tags (base + 1) = -1)
+    and older1 =
+      Bool.to_int
+        ((Array.unsafe_get stamp (base + 1) : int) < Array.unsafe_get stamp base)
+    in
+    base + ((1 - invalid0) land (invalid1 lor older1))
+  else begin
+    let best = ref base and best_stamp = ref max_int and w = ref 0 in
+    while !w < assoc do
+      let slot = base + !w in
+      if Array.unsafe_get tags slot = -1 then begin
+        best := slot;
+        w := assoc
+      end
+      else begin
+        let s = Array.unsafe_get stamp slot in
+        if s < !best_stamp then begin
+          best := slot;
+          best_stamp := s
+        end;
+        w := !w + 1
+      end
+    done;
+    !best
+  end
 
 let access t addr ~write =
   t.n_accesses <- t.n_accesses + 1;
   t.clock <- t.clock + 1;
   let line = addr lsr t.line_shift in
-  let set = line land (t.sets - 1) in
-  let base = set * t.cfg.assoc in
-  let limit = base + t.cfg.assoc in
-  let slot = find_slot t.tags line base limit in
-  if slot >= 0 then begin
+  let assoc = t.cfg.assoc in
+  let base = (line land (t.sets - 1)) * assoc in
+  let way = find_way t.tags line base assoc in
+  if way > 0 then begin
+    let slot = base + way - 1 in
     t.n_hits <- t.n_hits + 1;
     t.stamp.(slot) <- t.clock;
     if write then t.dirty.(slot) <- true;
     Hit
   end
   else begin
-    let slot = find_victim t.tags t.stamp base limit base max_int in
+    let slot = find_victim t.tags t.stamp base assoc in
     let was_dirty = t.tags.(slot) <> -1 && t.dirty.(slot) in
     if was_dirty then begin
       t.n_writebacks <- t.n_writebacks + 1;
@@ -129,57 +168,67 @@ let access t addr ~write =
    compacted into the caller's scratch arrays — [miss_addrs.(j)] is the
    j-th missing address and [miss_victims.(j)] its dirty victim's address
    (or -1 if the victim was clean) — so the next level's fallthrough runs
-   as a separate dense loop over misses only.  Field loads, the set mask
-   and the associativity are hoisted out of the loop; counters are folded
-   in once at the end (no observer can run between the individual accesses
-   of a batch, so the intermediate counter values are unobservable).  The
-   local refs are non-escaping and compile to stack slots: the call
-   allocates nothing. *)
+   as a separate dense loop over misses only.  An access to the previous
+   access's line is a hit in the slot that access left it in (nothing ran
+   in between), so it skips the way scan: sequential streams touch each
+   line several times in a row.  Field loads, the set mask and the
+   associativity are hoisted out of the loop; counters are folded in once
+   at the end (no observer can run between the individual accesses of a
+   batch, so the intermediate counter values are unobservable).  The local
+   refs are non-escaping and compile to stack slots: the call allocates
+   nothing. *)
 let access_batch t addrs ~n ~loads ~stores ~miss_addrs ~miss_victims =
   let tags = t.tags and dirty = t.dirty and stamp = t.stamp in
   let line_shift = t.line_shift
   and set_mask = t.sets - 1
   and assoc = t.cfg.assoc in
   let period = loads + stores in
-  let clock = ref t.clock in
-  let hits = ref 0 and m = ref 0 and wb = ref 0 and k = ref 0 in
+  (* The LRU clock ticks once per access: access [i] stamps [clock1 + i]. *)
+  let clock1 = t.clock + 1 in
+  let m = ref 0 and k = ref 0 in
+  (* Addresses are non-negative, so no line is -1 and the first access
+     always scans. *)
+  let prev_line = ref (-1) and slot = ref 0 in
   for i = 0 to n - 1 do
     let addr = Array.unsafe_get addrs i in
-    let write = !k >= loads in
-    k := !k + 1;
-    if !k = period then k := 0;
-    clock := !clock + 1;
     let line = addr lsr line_shift in
-    let set = line land set_mask in
-    let base = set * assoc in
-    let limit = base + assoc in
-    let slot = find_slot tags line base limit in
-    if slot >= 0 then begin
-      hits := !hits + 1;
-      Array.unsafe_set stamp slot !clock;
-      if write then Array.unsafe_set dirty slot true
-    end
-    else begin
-      let slot = find_victim tags stamp base limit base max_int in
-      let vtag = Array.unsafe_get tags slot in
-      let was_dirty = vtag <> -1 && Array.unsafe_get dirty slot in
-      if was_dirty then begin
-        let victim = vtag lsl line_shift in
-        t.last_victim <- victim;
-        wb := !wb + 1;
-        Array.unsafe_set miss_victims !m victim
+    if line <> !prev_line then begin
+      prev_line := line;
+      let base = (line land set_mask) * assoc in
+      let way = find_way tags line base assoc in
+      if way > 0 then slot := base + way - 1
+      else begin
+        let victim = find_victim tags stamp base assoc in
+        let vtag = Array.unsafe_get tags victim in
+        Array.unsafe_set miss_victims !m
+          (if vtag <> -1 && Array.unsafe_get dirty victim then vtag lsl line_shift
+           else -1);
+        Array.unsafe_set miss_addrs !m addr;
+        m := !m + 1;
+        Array.unsafe_set tags victim line;
+        (* A fill takes the access's own dirty bit, set below on a write. *)
+        Array.unsafe_set dirty victim false;
+        slot := victim
       end
-      else Array.unsafe_set miss_victims !m (-1);
-      Array.unsafe_set miss_addrs !m addr;
-      m := !m + 1;
-      Array.unsafe_set tags slot line;
-      Array.unsafe_set dirty slot write;
-      Array.unsafe_set stamp slot !clock
+    end;
+    Array.unsafe_set stamp !slot (clock1 + i);
+    if !k >= loads then Array.unsafe_set dirty !slot true;
+    k := !k + 1;
+    if !k = period then k := 0
+  done;
+  (* Dirty evictions, and the last one's address, read back from the
+     compacted misses: kept out of the loop, they cost it no registers. *)
+  let wb = ref 0 in
+  for j = 0 to !m - 1 do
+    let victim = Array.unsafe_get miss_victims j in
+    if victim >= 0 then begin
+      wb := !wb + 1;
+      t.last_victim <- victim
     end
   done;
-  t.clock <- !clock;
+  t.clock <- t.clock + n;
   t.n_accesses <- t.n_accesses + n;
-  t.n_hits <- t.n_hits + !hits;
+  t.n_hits <- t.n_hits + n - !m;
   t.n_writebacks <- t.n_writebacks + !wb;
   !m
 
@@ -226,6 +275,26 @@ let splice t ~accesses ~hits ~writebacks =
   t.n_hits <- t.n_hits + hits;
   t.n_writebacks <- t.n_writebacks + writebacks
 
+(* The way scans assume that a line sits only in its own set and in at most
+   one of its ways; a restored array that breaks either would make
+   [find_way] return a way index past the set.  Only hostile bytes can. *)
+let check_tags t =
+  let assoc = t.cfg.assoc and tags = t.tags in
+  for set = 0 to t.sets - 1 do
+    let base = set * assoc in
+    for w = 0 to assoc - 1 do
+      let line = tags.(base + w) in
+      if line <> -1 then begin
+        if line < 0 || line land (t.sets - 1) <> set then
+          Ace_util.Codec.fail "cache line %d restored into set %d" line set;
+        for v = 0 to w - 1 do
+          if tags.(base + v) = line then
+            Ace_util.Codec.fail "cache line %d restored twice into set %d" line set
+        done
+      end
+    done
+  done
+
 let sync io t =
   let open Ace_util.Codec in
   let size_bytes = sync io int t.cfg.size_bytes in
@@ -240,6 +309,7 @@ let sync io t =
     allocate t
   end;
   sync_array io int t.tags;
+  if reading io then check_tags t;
   sync_array io bool t.dirty;
   sync_array io int t.stamp;
   t.clock <- sync io int t.clock;

@@ -6,9 +6,10 @@
     shrinking (or growing) the array forces dirty lines to be written back to
     the next level, which is the dominant reconfiguration overhead (§2.1).
 
-    The access path is allocation- and exception-free: hit and victim scans
-    are plain tail-recursive loops over the ways (no [Exit]-based control
-    flow, no refs), results are constant constructors and the dirty victim's
+    The access path is allocation- and exception-free: the hit scan visits
+    every way of the set with no data-dependent branch (which way hits is
+    unpredictable to the host), the victim scan on a 2-way cache is computed
+    from flags, results are constant constructors and the dirty victim's
     address is exposed through {!last_victim_addr}.  [access] costs zero
     minor words per call — asserted by test and tracked by
     [bench/main.exe -- --core-json]. *)
@@ -62,7 +63,8 @@ val access_batch :
     access order and [miss_victims.(j)] is its dirty victim's line-aligned
     address, or [-1] if the victim was clean — the caller replays these
     against the next level.  Both scratch arrays must have at least [n]
-    elements.  Allocates nothing. *)
+    elements.  An access to the same line as the access before it is
+    served from that access's slot without a scan.  Allocates nothing. *)
 
 val last_victim_addr : t -> int
 (** Byte address (line-aligned) of the most recent dirty victim.  Only
@@ -93,7 +95,8 @@ val sync : Ace_util.Codec.io -> t -> unit
 (** Current capacity, array contents, LRU clock and counters, for
     checkpoints.  Reading may change the capacity (associativity and line
     size stay those of [t]) and refuses a capacity that is not a valid
-    geometry or that the remaining input cannot fill.
+    geometry or that the remaining input cannot fill, and a line that does
+    not map to the set it is stored in or that appears twice in one set.
     @raise Ace_util.Codec.Error on a state [t] cannot hold. *)
 
 (** Cumulative counters since [create]. *)

@@ -22,13 +22,17 @@ let to_state t = get t 0
 let set_state t state = set t 0 state
 let sync io t = set t 0 (Codec.sync io Codec.int64 (get t 0))
 
+(* splitmix64 output function: scramble an advanced state. *)
+let[@inline] mix z =
+  let z = Int64.mul (Int64.logxor z (Int64.shift_right_logical z 30)) 0xBF58476D1CE4E5B9L in
+  let z = Int64.mul (Int64.logxor z (Int64.shift_right_logical z 27)) 0x94D049BB133111EBL in
+  Int64.logxor z (Int64.shift_right_logical z 31)
+
 (* splitmix64 core: advance the state by the golden gamma and scramble. *)
 let[@inline] bits64 t =
   let z = Int64.add (get t 0) golden_gamma in
   set t 0 z;
-  let z = Int64.mul (Int64.logxor z (Int64.shift_right_logical z 30)) 0xBF58476D1CE4E5B9L in
-  let z = Int64.mul (Int64.logxor z (Int64.shift_right_logical z 27)) 0x94D049BB133111EBL in
-  Int64.logxor z (Int64.shift_right_logical z 31)
+  mix z
 
 let split t = of_state (bits64 t)
 
@@ -43,6 +47,22 @@ let[@inline] positive_int t = Int64.to_int (Int64.shift_right_logical (bits64 t)
 let[@inline] int t bound =
   assert (bound > 0);
   positive_int t mod bound
+
+(* [n] draws of [int t bound] with the state in a local: between draws it
+   stays in a register instead of making a store-to-load round trip
+   through the buffer, so the draws' scrambles and divisions overlap. *)
+let fill_int t bound buf ~pos ~n =
+  assert (bound > 0);
+  if pos < 0 || n < 0 || pos > Array.length buf - n then
+    invalid_arg "Rng.fill_int: range outside the buffer";
+  let state = ref (get t 0) in
+  for i = pos to pos + n - 1 do
+    let z = Int64.add !state golden_gamma in
+    state := z;
+    Array.unsafe_set buf i
+      (Int64.to_int (Int64.shift_right_logical (mix z) 2) mod bound)
+  done;
+  set t 0 !state
 
 let int_in t lo hi =
   assert (lo <= hi);

@@ -37,54 +37,66 @@ let percentile xs p =
     sorted.(max 0 (min (n - 1) (rank - 1)))
   end
 
+(* The floats of [Running] and [Ema] live in a [Float.Array]: a record that
+   mixes mutable floats with other fields stores each float boxed, so every
+   write would allocate (three per [Running.add]); a float array stores
+   them flat. *)
 module Running = struct
-  type t = {
-    mutable n : int;
-    mutable mean : float;
-    mutable m2 : float;
-    mutable last : float;
-  }
+  type t = { mutable n : int; f : Float.Array.t (* mean, m2, last *) }
 
-  let create () = { n = 0; mean = 0.0; m2 = 0.0; last = 0.0 }
+  let mean_ = 0
+  let m2_ = 1
+  let last_ = 2
+  let create () = { n = 0; f = Float.Array.make 3 0.0 }
 
   let add t x =
+    let f = t.f in
     t.n <- t.n + 1;
-    t.last <- x;
-    let delta = x -. t.mean in
-    t.mean <- t.mean +. (delta /. float_of_int t.n);
-    t.m2 <- t.m2 +. (delta *. (x -. t.mean))
+    Float.Array.unsafe_set f last_ x;
+    let mean = Float.Array.unsafe_get f mean_ in
+    let delta = x -. mean in
+    let mean = mean +. (delta /. float_of_int t.n) in
+    Float.Array.unsafe_set f mean_ mean;
+    Float.Array.unsafe_set f m2_
+      (Float.Array.unsafe_get f m2_ +. (delta *. (x -. mean)))
 
   let count t = t.n
-  let mean t = t.mean
-  let stddev t = if t.n < 2 then 0.0 else sqrt (t.m2 /. float_of_int t.n)
-  let cov t = if t.mean = 0.0 then 0.0 else stddev t /. t.mean
-  let last t = t.last
+  let mean t = Float.Array.get t.f mean_
+
+  let stddev t =
+    if t.n < 2 then 0.0 else sqrt (Float.Array.get t.f m2_ /. float_of_int t.n)
+
+  let cov t = if mean t = 0.0 then 0.0 else stddev t /. mean t
+  let last t = Float.Array.get t.f last_
 
   let sync io t =
+    let cell i = Float.Array.set t.f i (Codec.sync io Codec.float (Float.Array.get t.f i)) in
     t.n <- Codec.sync io Codec.int t.n;
-    t.mean <- Codec.sync io Codec.float t.mean;
-    t.m2 <- Codec.sync io Codec.float t.m2;
-    t.last <- Codec.sync io Codec.float t.last
+    cell mean_;
+    cell m2_;
+    cell last_
 end
 
 module Ema = struct
-  type t = { alpha : float; mutable value : float; mutable seeded : bool }
+  type t = { alpha : float; v : Float.Array.t (* the average *); mutable seeded : bool }
 
   let create ~alpha =
     assert (alpha > 0.0 && alpha <= 1.0);
-    { alpha; value = 0.0; seeded = false }
+    { alpha; v = Float.Array.make 1 0.0; seeded = false }
 
   let add t x =
-    if t.seeded then t.value <- (t.alpha *. x) +. ((1.0 -. t.alpha) *. t.value)
+    if t.seeded then
+      Float.Array.unsafe_set t.v 0
+        ((t.alpha *. x) +. ((1.0 -. t.alpha) *. Float.Array.unsafe_get t.v 0))
     else begin
-      t.value <- x;
+      Float.Array.unsafe_set t.v 0 x;
       t.seeded <- true
     end
 
-  let value t = t.value
+  let value t = Float.Array.get t.v 0
   let is_empty t = not t.seeded
 
   let sync io t =
-    t.value <- Codec.sync io Codec.float t.value;
+    Float.Array.set t.v 0 (Codec.sync io Codec.float (Float.Array.get t.v 0));
     t.seeded <- Codec.sync io Codec.bool t.seeded
 end

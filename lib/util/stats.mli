@@ -25,7 +25,8 @@ val percentile : float array -> float -> float
     0 for an empty array. *)
 
 (** Running accumulator with O(1) updates (Welford), used for per-hotspot and
-    per-phase IPC profiles. *)
+    per-phase IPC profiles.  Its floats are stored unboxed, so an update
+    boxes none of them. *)
 module Running : sig
   type t
 
@@ -45,7 +46,8 @@ module Running : sig
   (** The full accumulator, for checkpoints. *)
 end
 
-(** Exponential moving average, used for hotspot size estimation. *)
+(** Exponential moving average, used for hotspot size estimation.  The
+    average is stored unboxed, so an update does not box it. *)
 module Ema : sig
   type t
 

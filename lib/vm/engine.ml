@@ -37,6 +37,7 @@ type hooks = {
   mutable on_block : pc:int -> instrs:int -> count:int -> unit;
   mutable on_interval : total_instrs:int -> unit;
   mutable on_recompile : meth_id:int -> unit;
+  mutable observes_call : meth_id:int -> bool;
 }
 
 let no_hooks () =
@@ -47,6 +48,7 @@ let no_hooks () =
     on_block = (fun ~pc:_ ~instrs:_ ~count:_ -> ());
     on_interval = (fun ~total_instrs:_ -> ());
     on_recompile = (fun ~meth_id:_ -> ());
+    observes_call = (fun ~meth_id:_ -> true);
   }
 
 (* Fast-forward sampling: an external sampler (ace_sample) can intercept
@@ -109,6 +111,9 @@ type t = {
   cfg : config;
   program : Program.t;
   bodies : Program.stmt array array;  (* per-method body, array-indexed *)
+  leaf_instrs : int array;
+      (* per method: the program instructions of one invocation if the
+         body makes no calls, else -1 *)
   hier : Hierarchy.t;
   timing : Ace_cpu.Timing.t;
   db : Do_database.t;
@@ -119,7 +124,9 @@ type t = {
   mutable addr_buf : int array;  (* exec_block batch scratch; not checkpointed *)
   (* counters *)
   mutable n_instrs : int;
-  mutable n_cycles : float;
+  n_cycles : Float.Array.t;
+      (* one cell: a float field of this record would be boxed, so every
+         update would allocate and pass the write barrier *)
   mutable n_overhead_instrs : int;
   mutable n_hot_instrs : int;
   (* sampler / interval state *)
@@ -136,6 +143,7 @@ type t = {
   mutable ran : bool;
   mutable restored : bool;
   obs : Obs.t;
+  tracing : bool;  (* [Obs.tracing obs], fixed for the sink's life *)
   m_entries : Obs.counter;
   m_promotions : Obs.counter;
   m_recompiles : Obs.counter;
@@ -153,11 +161,22 @@ let create ?(config = default_config) ?(faults = Faults.none) ?(obs = Obs.null)
   let bodies =
     Array.map (fun m -> Array.of_list m.Program.body) program.Program.methods
   in
+  let leaf_instrs =
+    Array.map
+      (Array.fold_left
+         (fun acc st ->
+           match st with
+           | Program.Exec (b, n) -> if acc < 0 then acc else acc + (b.Block.instrs * n)
+           | Program.Call (_, n) -> if n > 0 then -1 else acc)
+         0)
+      bodies
+  in
   let t =
   {
     cfg = config;
     program;
     bodies;
+    leaf_instrs;
     hier = Hierarchy.create ~obs ();
     timing = Ace_cpu.Timing.create Ace_cpu.Machine.default;
     db = Do_database.create ~methods:(Program.method_count program);
@@ -167,7 +186,7 @@ let create ?(config = default_config) ?(faults = Faults.none) ?(obs = Obs.null)
     cursors;
     addr_buf = [||];
     n_instrs = 0;
-    n_cycles = 0.0;
+    n_cycles = Float.Array.make 1 0.0;
     n_overhead_instrs = 0;
     n_hot_instrs = 0;
     next_sample_at = config.sample_period_cycles;
@@ -182,6 +201,7 @@ let create ?(config = default_config) ?(faults = Faults.none) ?(obs = Obs.null)
     ran = false;
     restored = false;
     obs;
+    tracing = Obs.tracing obs;
     m_entries = Obs.counter obs "engine.method_entries";
     m_promotions = Obs.counter obs "engine.hotspot_promotions";
     m_recompiles = Obs.counter obs "engine.recompiles";
@@ -201,12 +221,13 @@ let hierarchy t = t.hier
 let machine t = Ace_cpu.Timing.machine t.timing
 let db t = t.db
 let instrs t = t.n_instrs
-let cycles t = t.n_cycles
+let[@inline] cycles t = Float.Array.unsafe_get t.n_cycles 0
+let[@inline] set_cycles t c = Float.Array.unsafe_set t.n_cycles 0 c
 let overhead_instrs t = t.n_overhead_instrs
 let hot_instrs t = t.n_hot_instrs
-let ipc t = if t.n_cycles <= 0.0 then 0.0 else float_of_int t.n_instrs /. t.n_cycles
+let ipc t = Profile.ipc_of ~instrs:t.n_instrs ~cycles:(cycles t)
 
-let add_stall_cycles t c = t.n_cycles <- t.n_cycles +. c
+let add_stall_cycles t c = set_cycles t (cycles t +. c)
 
 let set_sample_ctl t ctl =
   (match t.sample_ctl with
@@ -226,10 +247,10 @@ let set_exposure_scale t s =
   assert (s > 0.0);
   t.exposure_scale <- s
 
-let charge_software_instrs t n =
+let[@inline] charge_software_instrs t n =
   if n > 0 then begin
     t.n_overhead_instrs <- t.n_overhead_instrs + n;
-    t.n_cycles <- t.n_cycles +. Ace_cpu.Timing.overhead_cycles t.timing ~instrs:n
+    set_cycles t (cycles t +. Ace_cpu.Timing.overhead_cycles t.timing ~instrs:n)
   end
 
 (* JIT recompilation: flips code quality and charges compile time. *)
@@ -238,7 +259,7 @@ let recompile t entry =
   entry.Do_database.compile_state <- Do_database.Optimized;
   charge_software_instrs t (m.Program.code_bytes * t.cfg.compile_instrs_per_code_byte);
   Obs.incr t.obs t.m_recompiles;
-  if Obs.tracing t.obs then
+  if t.tracing then
     Obs.record t.obs (Obs.Recompile { id = entry.Do_database.meth_id });
   t.hooks.on_recompile ~meth_id:entry.Do_database.meth_id
 
@@ -246,7 +267,7 @@ let promote t entry =
   entry.Do_database.is_hotspot <- true;
   entry.Do_database.promoted_at_instr <- t.n_instrs;
   Obs.incr t.obs t.m_promotions;
-  if Obs.tracing t.obs then
+  if t.tracing then
     Obs.record t.obs
       (Obs.Hotspot_promoted
          {
@@ -328,10 +349,10 @@ let exec_block t (b : Block.t) count quality =
       ~mispredict_rate:b.Block.mispredict_rate
   in
   t.n_instrs <- t.n_instrs + batch_instrs;
-  t.n_cycles <- t.n_cycles +. c;
+  set_cycles t (cycles t +. c);
   if t.hotspot_depth > 0 then t.n_hot_instrs <- t.n_hot_instrs + batch_instrs;
   t.hooks.on_block ~pc:b.Block.pc ~instrs:b.Block.instrs ~count;
-  if t.n_cycles >= t.next_sample_at then sampler_tick t;
+  if cycles t >= t.next_sample_at then sampler_tick t;
   if t.n_instrs >= t.next_interval_at then fire_interval t
 
 (* Functional-only execution of a block batch inside a fast-forward region:
@@ -346,10 +367,10 @@ let exec_block_ff t (b : Block.t) count cpi =
   Pattern.skip cursor ~rng:t.rng (count * (b.Block.loads + b.Block.stores));
   let batch_instrs = b.Block.instrs * count in
   t.n_instrs <- t.n_instrs + batch_instrs;
-  t.n_cycles <- t.n_cycles +. (cpi *. float_of_int batch_instrs);
+  set_cycles t (cycles t +. (cpi *. float_of_int batch_instrs));
   if t.hotspot_depth > 0 then t.n_hot_instrs <- t.n_hot_instrs + batch_instrs;
   t.hooks.on_block ~pc:b.Block.pc ~instrs:b.Block.instrs ~count;
-  if t.n_cycles >= t.next_sample_at then sampler_tick t;
+  if cycles t >= t.next_sample_at then sampler_tick t;
   if t.n_instrs >= t.next_interval_at then fire_interval t
 
 (* Method entry: all the invocation-start work of the old recursive
@@ -387,7 +408,7 @@ let enter t meth_id =
                   fr_instrs = req.ff_instrs;
                   fr_cycles = req.ff_cycles;
                   fr_counts = req.ff_counts;
-                  fr_start_cycles = t.n_cycles;
+                  fr_start_cycles = cycles t;
                   fr_cpi =
                     (if req.ff_instrs > 0 then
                        req.ff_cycles /. float_of_int req.ff_instrs
@@ -408,7 +429,7 @@ let enter t meth_id =
       f_was_hotspot = was_hotspot_at_entry;
       f_saved_meth = t.current_meth;
       f_instrs0 = t.n_instrs;
-      f_cycles0 = t.n_cycles;
+      f_cycles0 = cycles t;
       f_l1a0 = Cache.Stats.accesses l1d;
       f_l1m0 = Cache.Stats.misses l1d;
       f_l2a0 = Cache.Stats.accesses l2;
@@ -421,12 +442,30 @@ let enter t meth_id =
   if was_hotspot_at_entry then t.hotspot_depth <- t.hotspot_depth + 1;
   (* Only promoted methods are "phases" on the timeline; cold entries would
      swamp the ring without saying anything about adaptation. *)
-  if was_hotspot_at_entry && Obs.tracing t.obs then
+  if was_hotspot_at_entry && t.tracing then
     Obs.record t.obs
       (Obs.Phase_enter
          { id = meth_id; name = t.program.Program.methods.(meth_id).Program.name });
   t.current_meth <- meth_id;
   t.stack <- fr :: t.stack
+
+(* Measurement-path fault model (c): the invocation's *observed* cycle
+   count can carry multiplicative noise and outlier spikes.  Only the
+   profile handed to instrumentation consumers is perturbed; the global
+   clock stays truthful.  Without an injector the call is skipped, and
+   with it the boxing of its float argument and result. *)
+let observed_cycles t cycles =
+  if Faults.is_none t.faults then cycles else Faults.perturb_cycles t.faults ~cycles
+
+(* What an exit records in the DO database about its invocation. *)
+let record_exit (entry : Do_database.entry) ~instrs ~cycles =
+  Ace_util.Stats.Ema.add entry.Do_database.size_ema (float_of_int instrs);
+  if entry.Do_database.is_hotspot then
+    Ace_util.Stats.Running.add entry.Do_database.ipc_profile
+      (Profile.ipc_of ~instrs ~cycles)
+  else
+    entry.Do_database.pre_promotion_instrs <-
+      entry.Do_database.pre_promotion_instrs + instrs
 
 (* Method exit: the invocation-end work, after the frame has been popped.
 
@@ -441,10 +480,10 @@ let exit_frame t fr =
   | 2 -> (
       match t.ff with
       | Some f ->
-          t.n_cycles <- f.fr_start_cycles +. f.fr_cycles;
+          set_cycles t (f.fr_start_cycles +. f.fr_cycles);
           Hierarchy.splice t.hier f.fr_counts;
           t.ff <- None;
-          if Obs.tracing t.obs then
+          if t.tracing then
             Obs.record t.obs
               (Obs.Phase_splice { id = fr.f_meth; instrs = f.fr_instrs });
           (match t.sample_ctl with
@@ -459,13 +498,7 @@ let exit_frame t fr =
   let entry = Do_database.entry t.db fr.f_meth in
   t.current_meth <- fr.f_saved_meth;
   if fr.f_was_hotspot then t.hotspot_depth <- t.hotspot_depth - 1;
-  (* Measurement-path fault model (c): the invocation's *observed* cycle
-     count can carry multiplicative noise and outlier spikes.  Only the
-     profile handed to instrumentation consumers is perturbed; the global
-     clock stays truthful. *)
-  let observed_cycles =
-    Faults.perturb_cycles t.faults ~cycles:(t.n_cycles -. fr.f_cycles0)
-  in
+  let observed_cycles = observed_cycles t (cycles t -. fr.f_cycles0) in
   let l1d = Hierarchy.l1d t.hier and l2 = Hierarchy.l2 t.hier in
   let profile =
     {
@@ -477,17 +510,72 @@ let exit_frame t fr =
       l2_misses = Cache.Stats.misses l2 - fr.f_l2m0;
     }
   in
-  Ace_util.Stats.Ema.add entry.Do_database.size_ema (float_of_int profile.Profile.instrs);
-  if entry.Do_database.is_hotspot then
-    Ace_util.Stats.Running.add entry.Do_database.ipc_profile (Profile.ipc profile)
-  else
-    entry.Do_database.pre_promotion_instrs <-
-      entry.Do_database.pre_promotion_instrs + profile.Profile.instrs;
-  if fr.f_was_hotspot && Obs.tracing t.obs then
+  record_exit entry ~instrs:profile.Profile.instrs ~cycles:observed_cycles;
+  if fr.f_was_hotspot && t.tracing then
     Obs.record t.obs
       (Obs.Phase_exit { id = fr.f_meth; ipc = Profile.ipc profile });
   charge_software_instrs t entry.Do_database.exit_overhead;
   t.hooks.on_method_exit ~meth_id:fr.f_meth profile
+
+(* A call inside a fast-forward region that can run inline, without a frame:
+   the callee makes no calls, no hook observes its invocations, this entry
+   does not promote it, no interval boundary falls inside it (checkpoints,
+   kills and daemon boundaries all happen at one) and no event is being
+   traced.  Under those conditions nothing can look at the engine between
+   the callee's entry and exit except [on_block] and the sampler tick,
+   which see exactly what they would see in a frame. *)
+let quiet_call t (entry : Do_database.entry) instrs =
+  t.n_instrs + instrs < t.next_interval_at
+  && (entry.Do_database.is_hotspot
+     || entry.Do_database.invocations + 1 < t.cfg.hot_threshold)
+  && (not t.tracing)
+  && not (t.hooks.observes_call ~meth_id:entry.Do_database.meth_id)
+
+(* Run a quiet call: the DO-database, counter, cursor, sampler-tick and
+   [on_block] updates of [enter], [exec_block_ff] over the body and
+   [exit_frame], in the same order, minus the frame, the [Profile.t], the
+   per-statement steps and the two hooks [quiet_call] established have
+   nothing to see. *)
+let run_quiet t (entry : Do_database.entry) cpi =
+  let meth_id = entry.Do_database.meth_id in
+  Obs.incr t.obs t.m_entries;
+  entry.Do_database.invocations <- entry.Do_database.invocations + 1;
+  let hot = entry.Do_database.is_hotspot in
+  charge_software_instrs t entry.Do_database.entry_overhead;
+  let instrs0 = t.n_instrs and cycles0 = cycles t in
+  let saved_meth = t.current_meth in
+  if hot then t.hotspot_depth <- t.hotspot_depth + 1;
+  t.current_meth <- meth_id;
+  let body = t.bodies.(meth_id) in
+  for i = 0 to Array.length body - 1 do
+    match Array.unsafe_get body i with
+    | Program.Exec (b, n) -> exec_block_ff t b n cpi
+    | Program.Call _ -> ()
+  done;
+  t.current_meth <- saved_meth;
+  if hot then t.hotspot_depth <- t.hotspot_depth - 1;
+  record_exit entry ~instrs:(t.n_instrs - instrs0)
+    ~cycles:(observed_cycles t (cycles t -. cycles0));
+  charge_software_instrs t entry.Do_database.exit_overhead
+
+(* One repetition of the call at [fr]'s current statement.  A quiet one is
+   followed at once by every further repetition that is quiet too: nothing
+   runs between two repetitions, so leaving them to later steps would only
+   repeat the statement lookup. *)
+let call t fr meth_id =
+  match t.ff with
+  | Some f when Array.unsafe_get t.leaf_instrs meth_id >= 0 ->
+      let entry = Do_database.entry t.db meth_id
+      and instrs = Array.unsafe_get t.leaf_instrs meth_id in
+      if quiet_call t entry instrs then begin
+        run_quiet t entry f.fr_cpi;
+        while fr.f_calls_left > 0 && quiet_call t entry instrs do
+          fr.f_calls_left <- fr.f_calls_left - 1;
+          run_quiet t entry f.fr_cpi
+        done
+      end
+      else enter t meth_id
+  | _ -> enter t meth_id
 
 (* Execute one scheduling unit: a statement of the innermost frame, one
    repetition of a pending call, or a method return.  The recursion's
@@ -501,7 +589,7 @@ let step t =
       if fr.f_calls_left > 0 then (
         fr.f_calls_left <- fr.f_calls_left - 1;
         match body.(fr.f_pos - 1) with
-        | Program.Call (callee, _) -> enter t callee
+        | Program.Call (callee, _) -> call t fr callee
         | Program.Exec _ -> assert false)
       else if fr.f_pos >= Array.length body then (
         t.stack <- rest;
@@ -517,7 +605,7 @@ let step t =
         | Program.Call (callee, n) ->
             if n > 0 then begin
               fr.f_calls_left <- n - 1;
-              enter t callee
+              call t fr callee
             end
       end
 
@@ -572,7 +660,7 @@ let sync io t =
   let open Ace_util.Codec in
   if reading io && t.ran then invalid_arg "Engine.sync: engine already ran";
   t.n_instrs <- sync io int t.n_instrs;
-  t.n_cycles <- sync io float t.n_cycles;
+  set_cycles t (sync io float (cycles t));
   t.n_overhead_instrs <- sync io int t.n_overhead_instrs;
   t.n_hot_instrs <- sync io int t.n_hot_instrs;
   t.next_sample_at <- sync io float t.next_sample_at;

@@ -46,6 +46,15 @@ type hooks = {
       (** Fired when the program instruction counter crosses a multiple of
           [interval_instrs]. *)
   mutable on_recompile : meth_id:int -> unit;
+  mutable observes_call : meth_id:int -> bool;
+      (** Whether [on_method_entry] and [on_method_exit] must see the
+          invocations of [meth_id]; [true] for every method by default.  A
+          scheme may answer [false] for a method only if, for any invocation
+          of it during which no method is promoted, the entry hook and the
+          matching exit hook together change nothing and record nothing:
+          the engine may then skip both (it does so for calls inside a
+          fast-forward region to methods that make no calls).  A scheme
+          that installs entry or exit hooks sets this with them. *)
 }
 
 type t
@@ -146,7 +155,12 @@ val exposure_scale : t -> float
     simulation would, but no hierarchy accesses are performed.  At region
     end the memoized hierarchy counter deltas are spliced in, the clock is
     set to exactly [start + memoized cycles], and a [Phase_splice] event is
-    recorded.  See DESIGN.md §Sampled simulation. *)
+    recorded.  Inside a region, a call to a method that makes no calls runs
+    inline, without a frame, a profile or the entry and exit hooks, when
+    [observes_call] says no hook needs it, the entry does not promote the
+    callee, no interval boundary falls inside it and obs is not tracing;
+    every other effect of the call is made as on the framed path.  See
+    DESIGN.md §Sampled simulation. *)
 
 (** Memoized cost of one phase invocation, supplied by the sampler. *)
 type ff_request = {

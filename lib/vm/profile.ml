@@ -7,7 +7,10 @@ type t = {
   l2_misses : int;
 }
 
-let ipc t = if t.cycles <= 0.0 then 0.0 else float_of_int t.instrs /. t.cycles
+let[@inline] ipc_of ~instrs ~cycles =
+  if cycles <= 0.0 then 0.0 else float_of_int instrs /. cycles
+
+let ipc t = ipc_of ~instrs:t.instrs ~cycles:t.cycles
 
 let l1d_energy_nj t ~size_bytes ~leak_cycles =
   (float_of_int t.l1d_accesses

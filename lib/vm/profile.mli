@@ -17,6 +17,9 @@ type t = {
 val ipc : t -> float
 (** Instructions per cycle; 0 when no cycles elapsed. *)
 
+val ipc_of : instrs:int -> cycles:float -> float
+(** [ipc] of a profile with these two fields. *)
+
 val l1d_energy_nj : t -> size_bytes:int -> leak_cycles:float -> float
 (** Energy this invocation would cost the L1D at the given size: dynamic
     access energy plus leakage over [leak_cycles].  Used by tuners to rank

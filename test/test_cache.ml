@@ -259,6 +259,63 @@ let prop_access_matches_reference_model =
       done;
       !ok && Cache.dirty_lines c = Model.dirty_lines m)
 
+(* [access_batch] against the scalar path: after every batch the whole
+   synced state (tags, dirty bits, LRU stamps and clock, last victim,
+   counters) must equal that of a cache fed the same addresses one
+   [access] at a time, and the compacted misses must be the scalar misses
+   in order.  Batches have every loads/stores shape up to 4 + 4, mix
+   random addresses with runs inside one line (the same-line shortcut),
+   and alternate with resizes; the caches are 2- and 4-way. *)
+let prop_batch_matches_scalar =
+  QCheck.Test.make ~name:"access_batch = scalar access sequence" ~count:200
+    QCheck.(quad small_int (int_range 1 2) (int_range 0 4) (int_range 0 4))
+    (fun (seed, assoc_pow, loads, stores) ->
+      let loads = if loads + stores = 0 then 1 else loads in
+      let period = loads + stores in
+      let assoc = 1 lsl assoc_pow in
+      let sizes = [| 2048; 4096; 8192 |] in
+      let cfg = { Cache.size_bytes = sizes.(0); assoc; line_bytes = 64 } in
+      let batch = Cache.create cfg and scalar = Cache.create cfg in
+      let state c = Ace_util.Codec.save (fun io -> Cache.sync io c) in
+      let rng = Ace_util.Rng.create ~seed in
+      let ok = ref true in
+      for _ = 1 to 25 do
+        if Ace_util.Rng.int rng 4 = 0 then begin
+          let size = sizes.(Ace_util.Rng.int rng (Array.length sizes)) in
+          if Cache.resize batch ~size_bytes:size <> Cache.resize scalar ~size_bytes:size
+          then ok := false
+        end;
+        let n = period * (1 + Ace_util.Rng.int rng 50) in
+        let footprint = [| 1024; 16384; 262144 |].(Ace_util.Rng.int rng 3) in
+        let prev = ref 0 in
+        let addrs =
+          Array.init n (fun _ ->
+              let a =
+                if Ace_util.Rng.bool rng then !prev + Ace_util.Rng.int rng 16
+                else Ace_util.Rng.int rng footprint
+              in
+              prev := a;
+              a)
+        in
+        let miss_addrs = Array.make n 0 and miss_victims = Array.make n 0 in
+        let m =
+          Cache.access_batch batch addrs ~n ~loads ~stores ~miss_addrs ~miss_victims
+        in
+        let misses = ref [] in
+        Array.iteri
+          (fun i addr ->
+            match Cache.access scalar addr ~write:(i mod period >= loads) with
+            | Cache.Hit -> ()
+            | Cache.Miss -> misses := (addr, -1) :: !misses
+            | Cache.Miss_dirty_victim ->
+                misses := (addr, Cache.last_victim_addr scalar) :: !misses)
+          addrs;
+        let batch_misses = List.init m (fun j -> (miss_addrs.(j), miss_victims.(j))) in
+        if batch_misses <> List.rev !misses || state batch <> state scalar then
+          ok := false
+      done;
+      !ok)
+
 let test_access_allocates_nothing () =
   (* The rewritten hot path (no Exit, no refs, top-level int-arg scans) is
      held to zero minor words per access; the tolerance only absorbs the
@@ -315,5 +372,6 @@ let suite =
     Tu.case "access allocates nothing" test_access_allocates_nothing;
     Tu.qcheck prop_miss_rate_monotone_capacity;
     Tu.qcheck prop_access_matches_reference_model;
+    Tu.qcheck prop_batch_matches_scalar;
     Tu.qcheck prop_writebacks_bounded_by_writes;
   ]

@@ -299,6 +299,44 @@ let test_hostile_cache_refused () =
         (Ace_mem.Cache.create
            { Ace_mem.Cache.size_bytes = 64 * 1024; assoc = 2; line_bytes = 64 }))
 
+(* L1D bodies whose tag array holds lines the way scan cannot: a line
+   stored in a set it does not map to, and a line in two ways of one set.
+   The scan assumes neither can happen, and an index past the set would
+   drive an out-of-bounds write.  A body with two distinct lines of one set
+   is the control: it must restore. *)
+let l1d_body tags =
+  let open Ace_util.Codec in
+  save (fun io ->
+      ignore (sync io int (64 * 1024));
+      ignore (sync io (array int) tags);
+      ignore (sync io (array bool) (Array.make (Array.length tags) false));
+      ignore (sync io (array int) (Array.make (Array.length tags) 0));
+      for _ = 1 to 7 do
+        ignore (sync io int 0)
+      done)
+
+let fresh_l1d () =
+  Ace_mem.Cache.create { Ace_mem.Cache.size_bytes = 64 * 1024; assoc = 2; line_bytes = 64 }
+
+(* 512 sets of 2 ways: slots [2s] and [2s + 1] hold set [s]. *)
+let l1d_tags assignments =
+  let tags = Array.make 1024 (-1) in
+  List.iter (fun (slot, line) -> tags.(slot) <- line) assignments;
+  tags
+
+let test_hostile_cache_tag_wrong_set () =
+  expect_malformed ~what:"line 1 in set 0" (l1d_body (l1d_tags [ (0, 1) ]))
+    (fun io -> Ace_mem.Cache.sync io (fresh_l1d ()))
+
+let test_hostile_cache_tag_twice () =
+  expect_malformed ~what:"line 1 in both ways of set 1"
+    (l1d_body (l1d_tags [ (2, 1); (3, 1) ]))
+    (fun io -> Ace_mem.Cache.sync io (fresh_l1d ()));
+  let snap = Snapshot.decode (read_fixture "golden.snap") in
+  Snapshot.read_body
+    { snap with Snapshot.body = l1d_body (l1d_tags [ (2, 1); (3, 513) ]) }
+    (fun io -> Ace_mem.Cache.sync io (fresh_l1d ()))
+
 let test_write_rotates_and_falls_back () =
   let path = tmp_path () in
   let snaps, _ = sample_snapshots () in
@@ -428,6 +466,9 @@ let suite =
     Tu.qcheck prop_hostile_payload;
     Tu.case "hostile TLB body refused" test_hostile_tlb_refused;
     Tu.case "hostile cache body refused" test_hostile_cache_refused;
+    Tu.case "restored cache line outside its set refused"
+      test_hostile_cache_tag_wrong_set;
+    Tu.case "restored cache line twice in a set refused" test_hostile_cache_tag_twice;
     Tu.case "fresh runs encode to the fixtures' bytes"
       test_fresh_runs_encode_to_fixtures;
   ]

@@ -214,6 +214,42 @@ let prop_int_in_range =
       let x = Rng.int rng bound in
       x >= 0 && x < bound)
 
+(* [fill_int] is [n] [int] draws: same values, written only inside the
+   range, and the generator left where the draws leave it.  Bounds cover 1,
+   powers of two, bounds above 2^40 and arbitrary ones. *)
+let prop_fill_int_matches_int =
+  QCheck.Test.make ~name:"fill_int = n int draws" ~count:300
+    QCheck.(quad small_int (int_range 0 3) (int_range 0 300) (int_range 0 5))
+    (fun (seed, kind, n, pos) ->
+      let bound =
+        match kind with
+        | 0 -> 1
+        | 1 -> 1 lsl (1 + (seed mod 61))
+        | 2 -> (1 lsl 40) + (seed * 7919) + 1
+        | _ -> 1 + (seed * 104_729)
+      in
+      let a = Rng.create ~seed and b = Rng.create ~seed in
+      let buf = Array.make (pos + n + 2) (-7) in
+      Rng.fill_int a bound buf ~pos ~n;
+      let expected = Array.init n (fun _ -> Rng.int b bound) in
+      Array.sub buf pos n = expected
+      && Array.for_all (( = ) (-7)) (Array.sub buf 0 pos)
+      && buf.(pos + n) = -7
+      && buf.(pos + n + 1) = -7
+      && Rng.to_state a = Rng.to_state b)
+
+let test_fill_int_range_checked () =
+  let rng = Rng.create ~seed:1 in
+  let buf = Array.make 8 0 in
+  List.iter
+    (fun (pos, n) ->
+      Alcotest.check_raises
+        (Printf.sprintf "pos %d n %d" pos n)
+        (Invalid_argument "Rng.fill_int: range outside the buffer")
+        (fun () -> Rng.fill_int rng 10 buf ~pos ~n))
+    [ (-1, 2); (0, 9); (7, 2); (3, -1) ];
+  Rng.fill_int rng 10 buf ~pos:8 ~n:0
+
 let suite =
   [
     Tu.case "determinism" test_determinism;
@@ -238,4 +274,6 @@ let suite =
     Tu.case "set_state matches of_state" test_set_state_matches_of_state;
     Tu.qcheck prop_int_in_range;
     Tu.qcheck prop_state_roundtrip;
+    Tu.qcheck prop_fill_int_matches_int;
+    Tu.case "fill_int range checked" test_fill_int_range_checked;
   ]

@@ -333,6 +333,115 @@ let test_sampled_snapshot_roundtrip () =
          | None -> false)
        !snaps)
 
+(* -- quiet leaf calls ------------------------------------------------ *)
+
+(* A sampled run under one scheme, assembled as [Run.run] assembles it,
+   with the engine's [observes_call] left as the scheme set it or
+   overridden.  Returns the whole simulator state as checkpoint bytes
+   (engine with its DO database, hierarchy, RNG and cursors; scheme;
+   sampler; fault injector), the sampler's counters, and how many
+   invocations reached the entry hook. *)
+let quiet_run ~observes ~faulty ~scheme program =
+  let faults =
+    if faulty then Ace_faults.Faults.create (Ace_faults.Faults.preset ~rate:0.01)
+    else Ace_faults.Faults.none
+  in
+  let interval = match scheme with `Bbv -> Some Run.bbv_interval | _ -> None in
+  let e =
+    Engine.create
+      ~config:
+        {
+          Engine.default_config with
+          seed = 1;
+          hot_threshold = Run.default_hot_threshold;
+          interval_instrs = interval;
+        }
+      ~faults program
+  in
+  let cus = [| Ace_core.Cu.l1d e; Ace_core.Cu.l2 e |] in
+  let sync_scheme, allow, classify =
+    match scheme with
+    | `Baseline -> ((fun _ -> ()), (fun ~meth_id:_ -> Sample.Allow), None)
+    | `Hotspot ->
+        let fw =
+          Ace_core.Framework.attach
+            ~config:(Ace_core.Framework.config_for ~resilient:faulty)
+            ~faults e ~cus
+        in
+        ( (fun io -> Ace_core.Framework.sync io fw),
+          (fun ~meth_id ->
+            if not (Ace_core.Framework.hotspot_settled fw ~meth_id) then
+              Sample.Unsettled
+            else if
+              Ace_core.Framework.measuring_open fw > 0
+              || Ace_core.Framework.unsettled_active fw
+            then Sample.Not_quiescent
+            else Sample.Allow),
+          None )
+    | `Bbv ->
+        let sch = Ace_bbv.Scheme.attach ~faults e ~cus in
+        ( (fun io -> Ace_bbv.Scheme.sync io sch),
+          (fun ~meth_id:_ ->
+            if Ace_bbv.Scheme.quiescent sch then Sample.Allow
+            else Sample.Not_quiescent),
+          Some
+            (fun () ->
+              let c = Ace_bbv.Tracker.current_phase (Ace_bbv.Scheme.tracker sch) in
+              if c < 0 then None else Some c) )
+  in
+  let hooks = Engine.hooks e in
+  let entries = ref 0 in
+  let entry = hooks.Engine.on_method_entry in
+  hooks.Engine.on_method_entry <-
+    (fun ~meth_id ->
+      incr entries;
+      entry ~meth_id);
+  Option.iter (fun f -> hooks.Engine.observes_call <- f) observes;
+  let sam = Sample.attach ~faults ?classify ~allow e in
+  Engine.run e;
+  let state =
+    Ace_util.Codec.save (fun io ->
+        Engine.sync io e;
+        sync_scheme io;
+        Sample.sync io sam;
+        Ace_faults.Faults.sync io faults)
+  in
+  (state, Sample.stats sam, !entries)
+
+(* Quiet leaf calls skip the entry and exit hooks but must leave the run
+   bit-identical to one where every call reaches them: the synthetic
+   workload and a SPEC analogue under all three schemes, plus a faulty
+   resilient hotspot run (the profile perturbation draws in the same
+   order).  The baseline installs no entry or exit hook, so "none" is a
+   valid answer for it too, and it exercises the quiet path there. *)
+let test_quiet_calls_exact () =
+  let every = Some (fun ~meth_id:_ -> true) and none = Some (fun ~meth_id:_ -> false) in
+  let synthetic = small ~phase_repeats:60 () in
+  let mtrt =
+    (Option.get (Ace_workloads.Specjvm.find "mtrt")).Ace_workloads.Workload.build
+      ~scale:0.3 ~seed:1
+  in
+  let quiet_somewhere = ref false in
+  List.iter
+    (fun (name, program, scheme, faulty, quiet) ->
+      let state, stats, entries = quiet_run ~observes:quiet ~faulty ~scheme program in
+      let state', stats', entries' =
+        quiet_run ~observes:every ~faulty ~scheme program
+      in
+      Alcotest.(check bool) (name ^ ": state bit-identical") true (state = state');
+      Alcotest.(check bool) (name ^ ": sampler counters equal") true (stats = stats');
+      if entries < entries' then quiet_somewhere := true)
+    [
+      ("synthetic/baseline", synthetic, `Baseline, false, none);
+      ("synthetic/hotspot", synthetic, `Hotspot, false, None);
+      ("synthetic/bbv", synthetic, `Bbv, false, None);
+      ("synthetic/hotspot+faults", synthetic, `Hotspot, true, None);
+      ("mtrt/baseline", mtrt, `Baseline, false, none);
+      ("mtrt/hotspot", mtrt, `Hotspot, false, None);
+      ("mtrt/bbv", mtrt, `Bbv, false, None);
+    ];
+  Alcotest.(check bool) "some calls ran without hooks" true !quiet_somewhere
+
 let suite =
   [
     Tu.case "config validation" test_config_validation;
@@ -351,4 +460,5 @@ let suite =
       test_cluster_capture_restore_roundtrip;
     Tu.slow_case "sampled snapshot codec round-trip"
       test_sampled_snapshot_roundtrip;
+    Tu.case "quiet leaf calls: run bit-identical" test_quiet_calls_exact;
   ]

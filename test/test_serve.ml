@@ -627,6 +627,18 @@ let test_daemon_lists_refused_spec () =
               Alcotest.(check bool) ("reason says why: " ^ why) true
                 (contains why "spec refused" && contains why "JSON")
           | other -> Alcotest.failf "job 1: %s" (response_name other));
+          (* The CLI ends the reason's line like every other line. *)
+          let shown =
+            let ic =
+              Unix.open_process_args_in exe
+                [| exe; "status"; "--socket"; socket; "--job"; "1" |]
+            in
+            Fun.protect
+              ~finally:(fun () -> ignore (Unix.close_process_in ic))
+              (fun () -> In_channel.input_all ic)
+          in
+          Alcotest.(check bool) ("status --job output ends a line: " ^ shown) true
+            (contains shown "spec refused" && String.ends_with ~suffix:"\n" shown);
           Alcotest.(check (option string)) "nothing settled on disk" None
             (Spool.read_failed ~dir:spool 1);
           stop_and_reap ~socket pid))
