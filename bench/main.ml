@@ -166,8 +166,10 @@ let bench_pool_dispatch =
 (* Observability emission cost at each level, written exactly as producers
    are: an ungated counter bump plus gated float/event emissions.  Off must
    price like a branch; Metrics like a couple of stores; Full adds building
-   the event and encoding it into the ring's byte log, which allocates only
-   short-lived words. *)
+   the event, encoding it into the ring's byte log and hashing those bytes
+   into the ring's running CRC-32, which allocates only short-lived words.
+   The hash is what lets a checkpoint take the ring's CRC without reading
+   the ring again. *)
 module Obs = Ace_obs.Obs
 
 let obs_emit_sink obs =

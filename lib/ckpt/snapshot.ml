@@ -43,7 +43,7 @@ type meta = {
   sample : Sample.config option;
 }
 
-type t = { meta : meta; body : string }
+type t = { meta : meta; body : string; body_crc : int }
 
 let malformed fmt = Printf.ksprintf (fun msg -> raise (Error (Malformed msg))) fmt
 
@@ -89,6 +89,12 @@ let check_meta m =
 
 (* {2 Body} *)
 
+let of_body meta body = { meta; body; body_crc = Crc32.string body }
+
+let save meta f =
+  let body, body_crc = Codec.save_crc f in
+  { meta; body; body_crc }
+
 let read_body t f = try Codec.load t.body f with Codec.Error msg -> malformed "%s" msg
 
 let instrs t =
@@ -103,8 +109,9 @@ let instrs t =
    The header is fixed-width so a truncated file is detected before any
    payload parsing, and the CRC covers exactly the bytes the decoder will
    read.  The payload is the meta record, then the body.  The container is
-   allocated once at its final size and the payload copied into it once;
-   the CRC is computed over the meta and the body where they already are. *)
+   allocated once at its final size and the payload copied into it once.
+   Its CRC is the meta's combined with the body's, which came with the body,
+   so writing hashes only the meta; reading hashes the whole payload. *)
 
 let magic = "ACESNAP1"
 let version = 4
@@ -117,7 +124,7 @@ let header_len = 8 + 2 + 8 + 8
 let container t =
   let meta = to_string meta_codec t.meta in
   let meta_len = String.length meta and body_len = String.length t.body in
-  let crc = Crc32.update (Crc32.string meta) t.body ~pos:0 ~len:body_len in
+  let crc = Crc32.combine (Crc32.string meta) t.body_crc ~len:body_len in
   let b = Bytes.create (header_len + meta_len + body_len) in
   Bytes.blit_string magic 0 b 0 8;
   Bytes.set_uint16_le b 8 version;
@@ -155,7 +162,13 @@ let decode s =
     try prefix meta_codec s ~pos:header_len with Codec.Error msg -> fail (Malformed msg)
   in
   check_meta meta;
-  { meta; body = String.sub s pos (len - pos) }
+  (* The payload's CRC with the meta's taken out is the body's. *)
+  let meta_crc = Crc32.update 0 s ~pos:header_len ~len:(pos - header_len) in
+  {
+    meta;
+    body = String.sub s pos (len - pos);
+    body_crc = Crc32.combine meta_crc crc ~len:(len - pos);
+  }
 
 (* {2 File I/O} *)
 

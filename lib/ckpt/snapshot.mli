@@ -69,8 +69,19 @@ type meta = {
       (** Phase-memoized sampling, if the run had it enabled. *)
 }
 
-type t = { meta : meta; body : string }
-(** The decoded {!meta} and the encoded body. *)
+type t = private { meta : meta; body : string; body_crc : int }
+(** The decoded {!meta}, the encoded body and the body's CRC-32.  A
+    snapshot is built only by {!save}, {!of_body} and {!decode}, so a body
+    never travels with a CRC that is not its own. *)
+
+val save : meta -> (Ace_util.Codec.io -> unit) -> t
+(** [save meta f]: the body is what [f] writes, and its CRC comes from
+    {!Ace_util.Codec.save_crc}, so runs [f] copies with their own CRC (the
+    event ring's) are not hashed again. *)
+
+val of_body : meta -> string -> t
+(** A snapshot of a body built by hand; its CRC is computed from its
+    bytes. *)
 
 val version : int
 (** Current snapshot format version.  Bump whenever any module's [sync] or
@@ -86,10 +97,12 @@ val instrs : t -> int
     @raise Error [(Malformed _)] if the body is too short to hold it. *)
 
 val encode : t -> string
-(** The full container: header plus CRC-protected payload. *)
+(** The full container: header plus CRC-protected payload.  The payload's
+    CRC is the meta's combined with [body_crc]; only the meta is hashed. *)
 
 val decode : string -> t
-(** @raise Error on truncation, bad magic, version skew, CRC mismatch or a
+(** Hashes the whole payload and checks it against the stored CRC.
+    @raise Error on truncation, bad magic, version skew, CRC mismatch or a
     malformed meta.  The body is checked when it is read back. *)
 
 val write :

@@ -385,8 +385,7 @@ let sync io r =
   Obs.sync io r.obs;
   sync_option io Sample.sync r.sampler
 
-let capture r =
-  { Snapshot.meta = r.meta; body = Ace_util.Codec.save (fun io -> sync io r) }
+let capture r = Snapshot.save r.meta (fun io -> sync io r)
 
 let restore ?(obs = Obs.null) (snap : Snapshot.t) =
   let r =

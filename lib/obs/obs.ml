@@ -74,11 +74,17 @@ type t = {
      and back to back in [log], so a checkpoint copies the ring's bytes
      instead of encoding its events again.  Offsets are virtual: virtual
      offset [v] is byte [v - base] of [log], so moving the live bytes to the
-     front of [log] moves only [base].  All empty unless lvl = Full. *)
+     front of [log] moves only [base].  The stream is the virtual bytes
+     [0, tail) recorded since creation or the last [clear]; each slot also
+     keeps the stream's CRC-32 up to its event, so the ring's bytes have a
+     CRC without being read again (see [ring_crc]).  All empty unless
+     lvl = Full. *)
   offs : int array; (* virtual start of each retained event, by ring slot *)
+  mutable crcs : Bytes.t; (* stream CRC at each [offs], 4 bytes by slot *)
   mutable log : Bytes.t;
   mutable base : int;
   mutable tail : int; (* virtual end of the newest event *)
+  mutable tail_crc : int; (* stream CRC at [tail] *)
   scratch : Buffer.t; (* one event's encoding on its way into [log] *)
   mutable start : int; (* ring slot of the oldest event *)
   mutable len : int;
@@ -97,9 +103,11 @@ let create ?(capacity = 65536) lvl =
     hists = Hashtbl.create 8;
     cap;
     offs = Array.make cap 0;
+    crcs = Bytes.empty;
     log = Bytes.empty;
     base = 0;
     tail = 0;
+    tail_crc = 0;
     scratch = Buffer.create (if cap > 0 then 256 else 1);
     start = 0;
     len = 0;
@@ -309,10 +317,27 @@ let push t ev =
   end;
   let k = Buffer.length t.scratch in
   reserve t k;
-  Buffer.blit t.scratch 0 t.log (t.tail - t.base) k;
-  t.offs.(slot t (t.start + t.len)) <- t.tail;
+  let at = t.tail - t.base and s = slot t (t.start + t.len) in
+  Buffer.blit t.scratch 0 t.log at k;
+  t.offs.(s) <- t.tail;
+  (* Allocated here, not in [create], so a sink that records nothing pays
+     nothing for it. *)
+  if Bytes.length t.crcs = 0 then t.crcs <- Bytes.create (4 * t.cap);
+  Bytes.set_int32_le t.crcs (4 * s) (Int32.of_int t.tail_crc);
+  (* A read-only view for the length of the call, as [Digest.subbytes]
+     takes one. *)
+  t.tail_crc <-
+    Ace_util.Crc32.update t.tail_crc (Bytes.unsafe_to_string t.log) ~pos:at ~len:k;
   t.tail <- t.tail + k;
   t.len <- t.len + 1
+
+(* CRC-32 of the ring's bytes [oldest, tail): the stream's CRC at the tail
+   with its CRC before the oldest event taken out. *)
+let ring_crc t =
+  if t.len = 0 then 0
+  else
+    let before = Int32.to_int (Bytes.get_int32_le t.crcs (4 * t.start)) in
+    Ace_util.Crc32.combine before t.tail_crc ~len:(t.tail - t.offs.(t.start))
 
 let record t kind = if t.lvl = Full then push t { ts = t.clock (); kind }
 let event_count t = t.len
@@ -379,6 +404,7 @@ let clear t =
   t.len <- 0;
   t.base <- 0;
   t.tail <- 0;
+  t.tail_crc <- 0;
   t.n_dropped <- 0
 
 let sync io t =
@@ -400,9 +426,9 @@ let sync io t =
         Array.blit r.h_counts 0 h.h_counts 0 n;
         h.h_total <- r.h_total;
         h.h_sum <- r.h_sum);
-    (* The ring is written as the log's live bytes, oldest first; reading
-       decodes every event, and a [Full] sink takes them back (truncated to
-       its capacity, counting further drops). *)
+    (* The ring is written as the log's live bytes, oldest first, with
+       their CRC; reading decodes every event, and a [Full] sink takes them
+       back (truncated to its capacity, counting further drops). *)
     let n = sync_length io t.len in
     if reading io then
       for _ = 1 to n do
@@ -411,7 +437,7 @@ let sync io t =
       done
     else begin
       let lo = oldest t in
-      write_encoded io t.log ~pos:(lo - t.base) ~len:(t.tail - lo)
+      write_encoded io t.log ~pos:(lo - t.base) ~len:(t.tail - lo) ~crc:(ring_crc t)
     end;
     let dropped = sync io int t.n_dropped in
     if reading io && t.lvl = Full then t.n_dropped <- t.n_dropped + dropped

@@ -19,9 +19,11 @@
     immutable field and nothing else; {!null} is the distinguished always-off
     sink that every producer defaults to.  [Metrics] additionally updates
     registry cells (integer/float stores, no allocation per emission).
-    [Full] also records ring events: each recording builds the event and
-    encodes it into the ring's byte log, allocating only short-lived
-    words.
+    [Full] also records ring events: each recording builds the event,
+    encodes it into the ring's byte log and extends the log's running
+    CRC-32 over those bytes, allocating only short-lived words.  The hash
+    is paid once per event, so a checkpoint never hashes the ring's bytes
+    again.
 
     Because the OCaml native compiler boxes float arguments at non-inlined
     call sites, producers must gate float-carrying emissions at the call
@@ -158,7 +160,8 @@ val metrics : t -> metric list
 
 val record : t -> kind -> unit
 (** Record an event at the current clock, if [tracing t]: its encoding is
-    appended to the ring's byte log, the bytes a checkpoint copies.  Gate
+    appended to the ring's byte log, the bytes a checkpoint copies, and
+    hashed into the log's running CRC, the CRC a checkpoint takes.  Gate
     the call at the site so the [kind] payload is not allocated on colder
     levels. *)
 
@@ -175,8 +178,9 @@ val dropped : t -> int
 val sync : Ace_util.Codec.io -> t -> unit
 (** The sink's image, so a resumed run continues its metrics and timeline
     seamlessly: registered cells sorted by name, then the ring oldest
-    first, copied as the encoded bytes it holds (an [Off] sink writes an
-    empty option).
+    first, copied as the encoded bytes it holds and handed to
+    {!Ace_util.Codec.write_encoded} with the CRC the ring keeps of them
+    (an [Off] sink writes an empty option).
     Reading a present image makes the sink that image — cells it lacks
     drop to zero, missing cells are registered, and a [Full] sink takes
     the events back, each decoded and checked, truncated to its capacity

@@ -189,12 +189,28 @@ let option c =
    One function per stateful type walks its fields in format order; the
    same walk writes when [io] is a buffer and reads when it is a cursor. *)
 
-type io = Write of Buffer.t | Read of reader
+(* A writer notes where each [write_encoded] run landed, with its CRC. *)
+type output = { buf : Buffer.t; mutable copies : (int * int * int) list }
+type io = Write of output | Read of reader
 
-let save f =
-  let b = Buffer.create 4096 in
-  f (Write b);
-  Buffer.contents b
+let saved f =
+  let w = { buf = Buffer.create 4096; copies = [] } in
+  f (Write w);
+  (Buffer.contents w.buf, List.rev w.copies)
+
+let save f = fst (saved f)
+
+(* Hash the gaps between the copied runs and combine each run's CRC in, so
+   no copied byte is read again. *)
+let save_crc f =
+  let s, copies = saved f in
+  let crc, pos =
+    List.fold_left
+      (fun (crc, pos) (at, len, c) ->
+        (Crc32.combine (Crc32.update crc s ~pos ~len:(at - pos)) c ~len, at + len))
+      (0, 0) copies
+  in
+  (s, Crc32.update crc s ~pos ~len:(String.length s - pos))
 
 let load s f =
   let r = { s; pos = 0 } in
@@ -207,21 +223,24 @@ let room = function Read r -> remaining r | Write _ -> max_int
 
 let sync io c v =
   match io with
-  | Write b ->
-      c.enc b v;
+  | Write w ->
+      c.enc w.buf v;
       v
   | Read r -> c.dec r
 
 let sync_length io n =
   match io with
-  | Write b ->
-      int.enc b n;
+  | Write w ->
+      int.enc w.buf n;
       n
   | Read r -> length r
 
-let write_encoded io src ~pos ~len =
+let write_encoded io src ~pos ~len ~crc =
   match io with
-  | Write b -> Buffer.add_subbytes b src pos len
+  | Write w ->
+      let at = Buffer.length w.buf in
+      Buffer.add_subbytes w.buf src pos len;
+      w.copies <- (at, len, crc) :: w.copies
   | Read _ -> invalid_arg "Codec.write_encoded"
 
 let expect_length n a =
@@ -229,9 +248,9 @@ let expect_length n a =
 
 let sync_array io c a =
   match io with
-  | Write b ->
-      int.enc b (Array.length a);
-      Array.iter (c.enc b) a
+  | Write w ->
+      int.enc w.buf (Array.length a);
+      Array.iter (c.enc w.buf) a
   | Read r ->
       expect_length (length r) a;
       for i = 0 to Array.length a - 1 do
@@ -255,10 +274,10 @@ let sync_option io f o =
    and must not leak into the bytes. *)
 let sync_hashtbl io c tbl =
   match io with
-  | Write b ->
+  | Write w ->
       let bindings = Hashtbl.fold (fun k v acc -> (k, v) :: acc) tbl [] in
-      int.enc b (List.length bindings);
-      List.iter (c.enc b) (List.sort (fun (k1, _) (k2, _) -> compare k1 k2) bindings)
+      int.enc w.buf (List.length bindings);
+      List.iter (c.enc w.buf) (List.sort (fun (k1, _) (k2, _) -> compare k1 k2) bindings)
   | Read r ->
       let n = length r in
       Hashtbl.reset tbl;

@@ -144,6 +144,11 @@ type io
 val save : (io -> unit) -> string
 (** [save f] runs [f] over a fresh write buffer and returns its bytes. *)
 
+val save_crc : (io -> unit) -> string * int
+(** [save f] and its {!Crc32} checksum.  Only the bytes [f]
+    encoded itself are hashed; each {!write_encoded} run is combined in
+    from the CRC it came with. *)
+
 val load : string -> (io -> unit) -> unit
 (** [load s f] runs [f] over a read cursor on [s].
     @raise Error on malformed input, including bytes [f] left unread. *)
@@ -161,11 +166,14 @@ val sync_length : io -> int -> int
 (** A length prefix: written as an [int]; read back checked to be
     non-negative and no larger than the remaining input. *)
 
-val write_encoded : io -> Bytes.t -> pos:int -> len:int -> unit
-(** [write_encoded io src ~pos ~len] writes [len] bytes of [src] from
+val write_encoded : io -> Bytes.t -> pos:int -> len:int -> crc:int -> unit
+(** [write_encoded io src ~pos ~len ~crc] writes [len] bytes of [src] from
     [pos] as they are: values encoded earlier with {!append}, kept by a
     writer that would otherwise encode them again.  A reader decodes them
-    with their codec.
+    with their codec.  [crc] must be the CRC-32 of those bytes, as
+    [Crc32.update 0] computes it: {!save_crc} combines it in and never
+    reads the bytes.  A wrong [crc] makes a wrong checksum, which the
+    container's check refuses when the file is read back.
     @raise Invalid_argument on a read cursor or a range outside [src]. *)
 
 val sync_array : io -> 'a t -> 'a array -> unit

@@ -60,3 +60,46 @@ let update crc s ~pos ~len =
   !c lxor 0xFFFFFFFF
 
 let string s = update 0 s ~pos:0 ~len:(String.length s)
+
+(* {2 Combination}
+
+   A CRC is a polynomial remainder, so appending [len] bytes to a message
+   multiplies its CRC by x^(8 len) modulo the polynomial and adds the CRC of
+   the appended bytes: [crc (a ^ b) = crc a * x^(8 |b|) + crc b].  The
+   pre- and post-conditioning cancel in that sum.  Bit 31 holds x^0, since
+   the polynomial is reflected.  This is zlib's [crc32_combine]. *)
+
+let poly = 0xEDB88320
+
+(* [a * b] modulo the polynomial, high bit of [a] first. *)
+let multmodp a b =
+  let b = ref b and p = ref 0 in
+  for i = 31 downto 0 do
+    if a land (1 lsl i) <> 0 then p := !p lxor !b;
+    b := if !b land 1 = 1 then (!b lsr 1) lxor poly else !b lsr 1
+  done;
+  !p
+
+(* [x2n.(k)] is x^(2^k).  x^(2^32) = x modulo this polynomial, so the
+   powers repeat with period 32. *)
+let x2n =
+  let t = Array.make 32 0 in
+  t.(0) <- 1 lsl 30;
+  for k = 1 to 31 do
+    t.(k) <- multmodp t.(k - 1) t.(k - 1)
+  done;
+  t
+
+(* x^(n * 2^k): one table factor per set bit of [n]. *)
+let x2nmodp n k =
+  let p = ref (1 lsl 31) and n = ref n and k = ref k in
+  while !n <> 0 do
+    if !n land 1 = 1 then p := multmodp x2n.(!k land 31) !p;
+    n := !n lsr 1;
+    incr k
+  done;
+  !p
+
+let combine crc1 crc2 ~len =
+  if len < 0 then invalid_arg "Crc32.combine";
+  multmodp (x2nmodp len 3) (crc1 land 0xFFFFFFFF) lxor (crc2 land 0xFFFFFFFF)

@@ -11,3 +11,14 @@ val update : int -> string -> pos:int -> len:int -> int
     [update crc s ~pos ~len].  Only the low 32 bits of [crc] are used.
     @raise Invalid_argument unless [0 <= pos], [0 <= len] and
     [pos + len <= String.length s]. *)
+
+val combine : int -> int -> len:int -> int
+(** [combine crc_a crc_b ~len] is the checksum of [a ^ b], given [crc_a],
+    the checksum of [b] and [len = String.length b], without reading either
+    string: [combine c (string b) ~len:(String.length b) = update c b ~pos:0
+    ~len:(String.length b)] for any [c].  It costs O(log len) polynomial
+    multiplications, a few microseconds whatever the length.  Since the
+    combination is an exclusive or, [combine crc_a crc_ab ~len] is the
+    checksum of [b] given those of [a] and [a ^ b].  Only the low 32 bits
+    of each checksum are used.
+    @raise Invalid_argument if [len < 0]. *)

@@ -77,7 +77,8 @@ let real_read path =
               let n = Unix.read fd buf !off (len - !off) in
               if n = 0 then eof := true else off := !off + n
             done;
-            Bytes.sub_string buf 0 !off
+            (* [buf] is ours alone: a whole read hands it over uncopied. *)
+            if !off = len then Bytes.unsafe_to_string buf else Bytes.sub_string buf 0 !off
           with
           | data -> data
           | exception Unix.Unix_error (e, _, _) -> unix_fail "read" path e)

@@ -264,7 +264,8 @@ let prop_hostile_payload =
    [Invalid_argument]).  Both are built from [Codec] primitives and read
    into a fresh structure through [Snapshot.read_body]. *)
 let expect_malformed ~what body read =
-  let snap = { (Snapshot.decode (read_fixture "golden.snap")) with Snapshot.body } in
+  let golden = Snapshot.decode (read_fixture "golden.snap") in
+  let snap = Snapshot.of_body golden.Snapshot.meta body in
   match Snapshot.read_body snap read with
   | exception Snapshot.Error (Snapshot.Malformed _) -> ()
   | exception e -> Alcotest.failf "%s: untyped %s" what (Printexc.to_string e)
@@ -334,7 +335,7 @@ let test_hostile_cache_tag_twice () =
     (fun io -> Ace_mem.Cache.sync io (fresh_l1d ()));
   let snap = Snapshot.decode (read_fixture "golden.snap") in
   Snapshot.read_body
-    { snap with Snapshot.body = l1d_body (l1d_tags [ (2, 1); (3, 513) ]) }
+    (Snapshot.of_body snap.Snapshot.meta (l1d_body (l1d_tags [ (2, 1); (3, 513) ])))
     (fun io -> Ace_mem.Cache.sync io (fresh_l1d ()))
 
 let test_write_rotates_and_falls_back () =
@@ -445,6 +446,47 @@ let test_chaos_soak () =
     (Printf.sprintf "at least 20 kill/resume cycles (got %d)" r.Soak.kills)
     true (r.Soak.kills >= 20)
 
+(* A 17-event ring wraps within the first checkpoint, so every snapshot's
+   ring CRC is combined across dropped events and log moves: the fixtures'
+   rings never fill.  Each container's stored CRC must be the payload's,
+   and a resume from the newest snapshot must finish as the uninterrupted
+   run did. *)
+let test_wrapped_ring_checkpoints () =
+  let path = tmp_path () in
+  let ring () = Ace_obs.Obs.create ~capacity:17 Ace_obs.Obs.Full in
+  let obs = ring () in
+  let snaps = ref 0 and newest = ref None in
+  let check_crc snap =
+    Alcotest.(check bool) "the ring has wrapped" true (Ace_obs.Obs.dropped obs > 0);
+    let data = Snapshot.encode snap in
+    (* The header's CRC field: after the magic, version and length. *)
+    let stored = Int64.to_int (String.get_int64_le data 18) in
+    let payload = String.length data - header_len in
+    Alcotest.(check int)
+      (Printf.sprintf "snapshot %d: stored CRC" !snaps)
+      (Ace_util.Crc32.update 0 data ~pos:header_len ~len:payload)
+      stored;
+    incr snaps;
+    newest := Some snap
+  in
+  let outcome =
+    Run.run_checkpointed ~scale:0.3 ~seed:1 ~obs ~on_snapshot:check_crc
+      ~checkpoint_every:500_000 ~path
+      (Option.get (Ace_workloads.Specjvm.find "jess"))
+      Scheme.Hotspot
+  in
+  cleanup path;
+  let r = match outcome with Run.Completed r -> r | Run.Killed_at _ -> assert false in
+  Alcotest.(check bool) "many snapshots" true (!snaps >= 40);
+  let snap = Option.get !newest in
+  if not (snaps_equal snap (Run.capture (Run.restore ~obs:(ring ()) snap))) then
+    Alcotest.fail "the newest snapshot, restored and captured, differs";
+  match Run.resume_from_snapshot ~obs:(ring ()) snap with
+  | Run.Completed resumed ->
+      if not (Soak.results_match r resumed) then
+        Alcotest.fail "the resumed run differs from the uninterrupted one"
+  | Run.Killed_at _ -> Alcotest.fail "the resumed run was killed"
+
 let suite =
   [
     Tu.case "codec roundtrip (all schemes)" test_codec_roundtrip;
@@ -471,4 +513,6 @@ let suite =
     Tu.case "restored cache line twice in a set refused" test_hostile_cache_tag_twice;
     Tu.case "fresh runs encode to the fixtures' bytes"
       test_fresh_runs_encode_to_fixtures;
+    Tu.slow_case "wrapped ring: every stored CRC holds, the resume matches"
+      test_wrapped_ring_checkpoints;
   ]

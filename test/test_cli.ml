@@ -181,7 +181,9 @@ let test_resume_unrestorable_body () =
   in
   let good = read "golden.snap" in
   let snap = Snapshot.decode good in
-  let bad = Snapshot.encode { snap with Snapshot.body = snap.Snapshot.body ^ "\000" } in
+  let bad =
+    Snapshot.encode (Snapshot.of_body snap.Snapshot.meta (snap.Snapshot.body ^ "\000"))
+  in
   let path = Filename.temp_file "ace_cli_bad" ".snap" in
   write path bad;
   write (path ^ ".1") good;

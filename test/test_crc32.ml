@@ -1,6 +1,6 @@
 (* CRC-32: the standard check values, agreement with a bit-at-a-time
    reference over every length and alignment the word loop distinguishes,
-   chaining, and range checks on the substring arguments. *)
+   chaining, combination, and range checks on the arguments. *)
 
 module Crc32 = Ace_util.Crc32
 
@@ -45,6 +45,29 @@ let prop_chaining =
           = Crc32.string s)
         (List.init (n + 1) Fun.id))
 
+let update_all crc s = Crc32.update crc s ~pos:0 ~len:(String.length s)
+
+(* Combining the CRC of [a] (from any start) with the CRC of [b] must give
+   the CRC of [a ^ b], without reading either string. *)
+let prop_combine =
+  QCheck.Test.make ~count:300 ~name:"combine joins the CRCs of two strings"
+    QCheck.(
+      triple (string_of_size (Gen.int_range 0 300)) (string_of_size (Gen.int_range 0 300))
+        (int_range 0 0xFFFFFFFF))
+    (fun (a, b, c) ->
+      Crc32.combine (update_all c a) (Crc32.string b) ~len:(String.length b)
+      = update_all (update_all c a) b)
+
+let test_combine_edges () =
+  let big = String.init ((1 lsl 20) + 5) (fun i -> Char.chr ((i * 131) land 0xFF)) in
+  Alcotest.(check int) "a 1 MiB + 5 B second operand"
+    (Crc32.string ("prefix" ^ big))
+    (Crc32.combine (Crc32.string "prefix") (Crc32.string big) ~len:(String.length big));
+  Alcotest.(check int) "both operands empty" 0 (Crc32.combine 0 0 ~len:0);
+  match Crc32.combine 0 0 ~len:(-1) with
+  | exception Invalid_argument _ -> ()
+  | _ -> Alcotest.fail "a negative length accepted"
+
 let test_range_checked () =
   let s = String.make 16 'a' in
   List.iter
@@ -66,5 +89,8 @@ let suite =
     Tu.case "standard check values" test_check_values;
     Tu.qcheck prop_matches_reference;
     Tu.qcheck prop_chaining;
+    Tu.qcheck prop_combine;
+    Tu.case "combine: a large operand, empty operands, a negative length"
+      test_combine_edges;
     Tu.case "out-of-range arguments raise" test_range_checked;
   ]

@@ -66,7 +66,8 @@ let rec drop k l = if k <= 0 then l else match l with [] -> [] | _ :: r -> drop 
 (* The ring against a list model: it keeps the last [capacity] events,
    oldest first, and counts the rest as drops.  Its image loads into a sink
    of the same capacity unchanged, and into a smaller one truncated with
-   the lost events counted. *)
+   the lost events counted.  The CRC the ring hands the writer is the CRC
+   of the bytes it writes, live and in both reloaded sinks. *)
 let prop_ring_model =
   QCheck.Test.make ~count:300 ~name:"ring of variable-size events matches a list model"
     QCheck.(
@@ -82,6 +83,12 @@ let prop_ring_model =
       let n = List.length kinds in
       let model = drop (n - capacity) (List.mapi (fun i kind -> { Obs.ts = i / 3; kind }) kinds) in
       let image sink = Ace_util.Codec.save (fun io -> Obs.sync io sink) in
+      (* The image's CRC combines the ring's own with the hash of the
+         bytes around it, so it is right only if the ring's is. *)
+      let crc_holds sink =
+        let st, crc = Ace_util.Codec.save_crc (fun io -> Obs.sync io sink) in
+        crc = Ace_util.Crc32.string st
+      in
       let st = image obs in
       let same = Obs.create ~capacity Obs.Full in
       Ace_util.Codec.load st (fun io -> Obs.sync io same);
@@ -96,7 +103,8 @@ let prop_ring_model =
       && Obs.dropped same = Obs.dropped obs
       && image same = st
       && Obs.events small = drop (kept - small_cap) model
-      && Obs.dropped small = n - min kept small_cap)
+      && Obs.dropped small = n - min kept small_cap
+      && List.for_all crc_holds [ obs; same; small ])
 
 let test_registry_idempotent () =
   let obs = Obs.create Obs.Metrics in
