@@ -129,7 +129,8 @@ let metrics_arg =
     & info [ "metrics" ] ~docv:"FILE"
         ~doc:
           "Write the run's metrics registry (counters, gauges, histogram \
-           buckets) to $(docv) as CSV.  Implies $(b,--obs-level) metrics.")
+           buckets) to $(docv) as CSV.  Implies at least $(b,--obs-level) \
+           metrics.")
 
 let obs_level_arg =
   Arg.(
@@ -138,40 +139,9 @@ let obs_level_arg =
     & info [ "obs-level" ] ~docv:"LEVEL"
         ~doc:
           "Observability level: $(b,off), $(b,metrics) (counters only) or \
-           $(b,full) (counters plus the event timeline).  Defaults to \
-           whatever $(b,--trace)/$(b,--metrics) need.")
-
-(* Explicit --obs-level wins; otherwise infer the cheapest level that can
-   satisfy the requested output files. *)
-let obs_of_flags ~trace ~metrics ~obs_level =
-  let level =
-    match obs_level with
-    | Some l -> l
-    | None ->
-        if trace <> None then Obs.Full
-        else if metrics <> None then Obs.Metrics
-        else Obs.Off
-  in
-  if level = Obs.Off && trace = None && metrics = None then Obs.null
-  else Obs.create level
-
-let write_text_file path s =
-  let oc = open_out_bin path in
-  output_string oc s;
-  close_out oc
-
-let write_exports ~trace ~metrics obs =
-  (match trace with
-  | Some path ->
-      let s =
-        if Filename.check_suffix path ".csv" then Export.csv obs
-        else Export.chrome obs
-      in
-      write_text_file path s
-  | None -> ());
-  match metrics with
-  | Some path -> write_text_file path (Export.metrics_csv obs)
-  | None -> ()
+           $(b,full) (counters plus the event timeline), raised to what \
+           $(b,--trace) and $(b,--metrics) need.  Defaults to $(b,off) for \
+           $(b,run) and $(b,metrics) for $(b,serve).")
 
 (* The summary/fault-stats rendering lives in [Ace_harness.Render] so the
    serve daemon can store byte-identical result payloads. *)
@@ -250,7 +220,7 @@ let run_cmd =
   let action workload scheme scale seed verbose fault_rate resilient checkpoint
       checkpoint_every resume kill_after sample_flag sample_repeats trace
       metrics obs_level =
-    let obs = obs_of_flags ~trace ~metrics ~obs_level in
+    let obs = Export.sink (Option.value obs_level ~default:Obs.Off) ~trace ~metrics in
     (* --sample flag validation: the combinations below would silently
        produce misleading results, so they are hard errors (exit 2, like a
        usage error). *)
@@ -280,7 +250,7 @@ let run_cmd =
     (* Exports are written for killed runs too: the trace of a crashed run
        is exactly what one wants to look at. *)
     let finish_outcome outcome =
-      write_exports ~trace ~metrics obs;
+      Export.write ~trace ~metrics obs;
       match outcome with
       | Ace_harness.Run.Completed r ->
           print_summary r;
@@ -326,7 +296,7 @@ let run_cmd =
                 ~framework_config:(Ace_core.Framework.config_for ~resilient)
                 ?faults ?sample ~obs workload scheme
             in
-            write_exports ~trace ~metrics obs;
+            Export.write ~trace ~metrics obs;
             print_summary r;
             print_fault_stats r;
             if verbose then
@@ -387,24 +357,20 @@ let report_cmd =
   Cmd.v info
     Term.(const action $ workload $ scheme_arg $ scale_arg $ seed_arg $ sample)
 
+(* Every id [exp] accepts: the [Experiments] tables, then the storage
+   torture matrix, [all] and its alias [paper]. *)
+let experiment_ids =
+  List.map fst Ace_harness.Experiments.experiments @ [ "torture"; "all"; "paper" ]
+
 let exp_cmd =
-  let ids =
-    [
-      "table1"; "table2"; "table3"; "fig1"; "table4"; "table5"; "table6";
-      "fig3"; "fig4"; "ablation-decoupling"; "ablation-thresholds";
-      "ext-issue-queue"; "ext-prediction"; "ext-bbv-predictor"; "resilience";
-      "stability"; "sample-accuracy"; "soak"; "torture"; "all"; "paper";
-    ]
-  in
   let id =
     Arg.(
       required
-      & pos 0 (some (enum (List.map (fun s -> (s, s)) ids))) None
+      & pos 0 (some (enum (List.map (fun s -> (s, s)) experiment_ids))) None
       & info [] ~docv:"EXPERIMENT"
           ~doc:
-            "Experiment id: table1-6, fig1, fig3, fig4, ablation-decoupling, \
-             ablation-thresholds, ext-issue-queue, all, or paper (alias of \
-             all).")
+            ("Experiment id: " ^ String.concat ", " experiment_ids
+           ^ " ($(b,paper) is an alias of $(b,all))."))
   in
   let jobs =
     Arg.(
@@ -467,32 +433,9 @@ let exp_cmd =
       Ace_util.Table.print tbl;
       print_newline ()
     in
-    (if id = "all" || id = "paper" then
-       List.iter print (Ace_harness.Experiments.all ctx)
-     else
-       let tbl =
-         match id with
-         | "table1" -> Ace_harness.Experiments.table1 ctx
-         | "table2" -> Ace_harness.Experiments.table2 ()
-         | "table3" -> Ace_harness.Experiments.table3 ()
-         | "fig1" -> Ace_harness.Experiments.fig1 ctx
-         | "table4" -> Ace_harness.Experiments.table4 ctx
-         | "table5" -> Ace_harness.Experiments.table5 ctx
-         | "table6" -> Ace_harness.Experiments.table6 ctx
-         | "fig3" -> Ace_harness.Experiments.fig3 ctx
-         | "fig4" -> Ace_harness.Experiments.fig4 ctx
-         | "ablation-decoupling" -> Ace_harness.Experiments.ablation_decoupling ctx
-         | "ablation-thresholds" -> Ace_harness.Experiments.ablation_thresholds ctx
-         | "ext-issue-queue" -> Ace_harness.Experiments.extension_issue_queue ctx
-         | "ext-prediction" -> Ace_harness.Experiments.extension_prediction ctx
-         | "ext-bbv-predictor" -> Ace_harness.Experiments.extension_bbv_predictor ctx
-         | "resilience" -> Ace_harness.Experiments.resilience ctx
-         | "stability" -> Ace_harness.Experiments.stability ctx
-         | "sample-accuracy" -> Ace_harness.Experiments.sample_accuracy ctx
-         | "soak" -> Ace_harness.Experiments.soak ctx
-         | _ -> assert false
-       in
-       print (id, tbl));
+    List.iter print
+      (if id = "all" || id = "paper" then Ace_harness.Experiments.all ctx
+       else [ (id, List.assoc id Ace_harness.Experiments.experiments ctx) ]);
     Ace_harness.Experiments.shutdown ctx
   in
   let info =
@@ -513,11 +456,9 @@ let list_cmd =
           w.Ace_workloads.Workload.description)
       Ace_workloads.Specjvm.all;
     print_endline "";
-    print_endline "Experiments: table1 table2 table3 fig1 table4 table5 table6 fig3";
-    print_endline "             fig4 ablation-decoupling ablation-thresholds";
-    print_endline "             ext-issue-queue ext-prediction ext-bbv-predictor";
-    print_endline "             resilience stability sample-accuracy soak torture";
-    print_endline "             all paper"
+    Format.printf "@[<hov 13>Experiments:@ %a@]@."
+      (Format.pp_print_list ~pp_sep:Format.pp_print_space Format.pp_print_string)
+      experiment_ids
   in
   Cmd.v (Cmd.info "list" ~doc:"List benchmarks and experiments.") Term.(const action $ const ())
 
@@ -616,9 +557,7 @@ let serve_cmd =
   in
   let action socket spool jobs queue_max checkpoint_every kill_after verbose
       io_faults enospc_for trace metrics obs_level =
-    let obs_level =
-      match obs_level with Some l -> l | None -> Obs.Metrics
-    in
+    let obs_level = Option.value obs_level ~default:Obs.Metrics in
     let io =
       let base = Ace_util.Io.real in
       let base =

@@ -967,6 +967,29 @@ let sample_accuracy t =
     schemes;
   tbl
 
+let tables =
+  [
+    ("table1", table1);
+    ("table2", fun _ -> table2 ());
+    ("table3", fun _ -> table3 ());
+    ("fig1", fig1);
+    ("table4", table4);
+    ("table5", table5);
+    ("table6", table6);
+    ("fig3", fig3);
+    ("fig4", fig4);
+    ("ablation-decoupling", ablation_decoupling);
+    ("ablation-thresholds", ablation_thresholds);
+    ("ext-issue-queue", extension_issue_queue);
+    ("ext-prediction", extension_prediction);
+    ("ext-bbv-predictor", extension_bbv_predictor);
+    ("resilience", resilience);
+    ("stability", stability);
+  ]
+
+let experiments =
+  tables @ [ ("sample-accuracy", sample_accuracy); ("soak", fun t -> soak t) ]
+
 let all t =
   (* Fan every cached variant of the whole suite out in one batch up front;
      the per-table warms below then all hit the cache. *)
@@ -981,21 +1004,4 @@ let all t =
        Bbv_with_predictor;
      ]
     @ resilience_fault_variants);
-  [
-    ("table1", table1 t);
-    ("table2", table2 ());
-    ("table3", table3 ());
-    ("fig1", fig1 t);
-    ("table4", table4 t);
-    ("table5", table5 t);
-    ("table6", table6 t);
-    ("fig3", fig3 t);
-    ("fig4", fig4 t);
-    ("ablation-decoupling", ablation_decoupling t);
-    ("ablation-thresholds", ablation_thresholds t);
-    ("ext-issue-queue", extension_issue_queue t);
-    ("ext-prediction", extension_prediction t);
-    ("ext-bbv-predictor", extension_bbv_predictor t);
-    ("resilience", resilience t);
-    ("stability", stability t);
-  ]
+  List.map (fun (id, table) -> (id, table t)) tables

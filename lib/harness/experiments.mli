@@ -131,5 +131,10 @@ val slowdown : t -> Ace_workloads.Workload.t -> Scheme.t -> float
 val average_energy_reduction : t -> Scheme.t -> float * float
 val average_slowdown : t -> Scheme.t -> float
 
+val experiments : (string * (t -> Ace_util.Table.t)) list
+(** Every experiment with its identifier, in paper order: the tables {!all}
+    renders, then [sample-accuracy] and [soak]. *)
+
 val all : t -> (string * Ace_util.Table.t) list
-(** Every experiment, in paper order, with its identifier. *)
+(** Every experiment except [sample-accuracy] and [soak], rendered after
+    one up-front run of every variant they share. *)

@@ -396,3 +396,27 @@ let report t =
       tail
   end;
   Buffer.contents buf
+
+(* -- Export files --------------------------------------------------- *)
+
+let sink level ~trace ~metrics =
+  let needed =
+    if trace <> None then Obs.Full
+    else if metrics <> None then Obs.Metrics
+    else Obs.Off
+  in
+  (* Levels are declared Off < Metrics < Full. *)
+  match max level needed with Obs.Off -> Obs.null | l -> Obs.create l
+
+let write_file path s =
+  Out_channel.with_open_bin path (fun oc ->
+      output_string oc s;
+      flush oc)
+
+let write ~trace ~metrics obs =
+  Option.iter
+    (fun path ->
+      write_file path
+        (if Filename.check_suffix path ".csv" then csv obs else chrome obs))
+    trace;
+  Option.iter (fun path -> write_file path (metrics_csv obs)) metrics

@@ -30,3 +30,14 @@ val report : Obs.t -> string
     activity (including reconfigurations per 100K instructions derived from
     the [engine.instrs] gauge), histogram sketches, and the tail of the
     event timeline. *)
+
+(** {2 Export files} *)
+
+val sink : Obs.level -> trace:string option -> metrics:string option -> Obs.t
+(** The sink for a command that will {!write} [trace] and [metrics]: at the
+    higher of the given level and the level those files need ([Full] for a
+    trace, [Metrics] for a metrics CSV).  [Off] gives {!Obs.null}. *)
+
+val write : trace:string option -> metrics:string option -> Obs.t -> unit
+(** Write the requested files: the trace as {!csv} when its name ends in
+    [.csv], else as {!chrome}; the metrics registry as {!metrics_csv}. *)

@@ -455,25 +455,6 @@ let handle_conn t conn =
           (* Client went away mid-response; nothing to do. *)
           ())
 
-let write_text_file path s =
-  let oc = open_out_bin path in
-  Fun.protect
-    ~finally:(fun () -> close_out_noerr oc)
-    (fun () -> output_string oc s)
-
-let write_exports t =
-  (match t.cfg.trace with
-  | Some path ->
-      let s =
-        if Filename.check_suffix path ".csv" then Export.csv t.obs
-        else Export.chrome t.obs
-      in
-      write_text_file path s
-  | None -> ());
-  match t.cfg.metrics with
-  | Some path -> write_text_file path (Export.metrics_csv t.obs)
-  | None -> ()
-
 let rec serve_loop t listen_fd =
   List.iter (process_msg t) (drain_mailbox t.mb);
   probe_storage t;
@@ -491,17 +472,13 @@ let rec serve_loop t listen_fd =
     serve_loop t listen_fd
   end
 
-let obs_of_config cfg =
-  let level = if cfg.trace <> None then Obs.Full else cfg.obs_level in
-  if level = Obs.Off && cfg.metrics = None then Obs.null else Obs.create level
-
 let run cfg =
   if cfg.workers <= 0 then invalid_arg "Daemon.run: workers must be positive";
   if cfg.queue_max <= 0 then invalid_arg "Daemon.run: queue_max must be positive";
   if cfg.checkpoint_every <= 0 then
     invalid_arg "Daemon.run: checkpoint_every must be positive";
   Spool.ensure_dir ~io:cfg.io cfg.spool_dir;
-  let obs = obs_of_config cfg in
+  let obs = Export.sink cfg.obs_level ~trace:cfg.trace ~metrics:cfg.metrics in
   let started_at = Unix.gettimeofday () in
   Obs.set_clock obs (fun () ->
       int_of_float ((Unix.gettimeofday () -. started_at) *. 1000.0));
@@ -607,7 +584,7 @@ let run cfg =
       Printf.printf "ace_serve: listening on %s (spool %s, %d workers)\n%!"
         cfg.socket_path cfg.spool_dir cfg.workers;
       serve_loop t listen_fd;
-      write_exports t;
+      Export.write ~trace:t.cfg.trace ~metrics:t.cfg.metrics t.obs;
       let interrupted =
         Hashtbl.fold
           (fun _ j acc -> if j.state = Interrupted then acc + 1 else acc)

@@ -34,6 +34,7 @@ type config = {
           snapshot is written before the check, so every life makes
           resumable progress and a kill/restart loop always terminates. *)
   obs_level : Ace_obs.Obs.level;
+      (** Raised to what [trace] and [metrics] need ({!Ace_obs.Export.sink}). *)
   trace : string option;  (** Timeline export path, written at drain. *)
   metrics : string option;  (** Metrics CSV path, written at drain. *)
   verbose : bool;  (** Log job transitions to stderr. *)

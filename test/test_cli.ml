@@ -103,26 +103,31 @@ let read_file p =
   close_in ic;
   s
 
+(* The requested files set the sink level's floor, whatever --obs-level
+   says: a trace needs full, a metrics CSV needs metrics. *)
 let test_trace_and_metrics_written () =
-  let trace = Filename.temp_file "ace_cli_trace" ".json" in
-  let metrics = Filename.temp_file "ace_cli_metrics" ".csv" in
-  let code, _ =
-    sh
-      (Printf.sprintf
-         "%s run compress -s hotspot --scale 0.1 --trace %s --metrics %s \
-          --obs-level full"
-         exe trace metrics)
-  in
-  Alcotest.(check int) "exit 0" 0 code;
-  let t = read_file trace and m = read_file metrics in
-  Alcotest.(check bool) "trace has the event array" true
-    (contains t "\"traceEvents\":[");
-  Alcotest.(check bool) "trace has phase spans" true (contains t "\"ph\":\"X\"");
-  Alcotest.(check bool) "metrics header" true
-    (contains m "metric,type,value\n");
-  Alcotest.(check bool) "metrics carry engine counters" true
-    (contains m "engine.method_entries,counter,");
-  List.iter Sys.remove [ trace; metrics ]
+  List.iter
+    (fun level ->
+      let trace = Filename.temp_file "ace_cli_trace" ".json" in
+      let metrics = Filename.temp_file "ace_cli_metrics" ".csv" in
+      let code, _ =
+        sh
+          (Printf.sprintf
+             "%s run compress -s hotspot --scale 0.1 --trace %s --metrics %s%s"
+             exe trace metrics level)
+      in
+      Alcotest.(check int) ("exit 0" ^ level) 0 code;
+      let t = read_file trace and m = read_file metrics in
+      Alcotest.(check bool) ("trace has the event array" ^ level) true
+        (contains t "\"traceEvents\":[");
+      Alcotest.(check bool) ("trace has phase spans" ^ level) true
+        (contains t "\"ph\":\"X\"");
+      Alcotest.(check bool) ("metrics header" ^ level) true
+        (contains m "metric,type,value\n");
+      Alcotest.(check bool) ("metrics carry engine counters" ^ level) true
+        (contains m "engine.method_entries,counter,");
+      List.iter Sys.remove [ trace; metrics ])
+    [ ""; " --obs-level off"; " --obs-level metrics"; " --obs-level full" ]
 
 (* CLI-level counterpart of the API-level identity test in test_obs.ml:
    the metrics file of a killed-then-resumed run must be byte-identical to
