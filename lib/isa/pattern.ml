@@ -60,7 +60,7 @@ let next c ~rng =
          short cycle (a pure offset->offset map would, by the birthday
          bound). *)
       c.steps <- c.steps + 1;
-      c.offset <- chase_hash ((c.offset * 31) + c.steps) mod (extent / 8 |> max 1) * 8;
+      c.offset <- chase_hash ((c.offset * 31) + c.steps) mod (Int.max 1 (extent / 8)) * 8;
       addr
 
 (* Batched [next]: fill [buf.(pos .. pos+n-1)] with the next [n] addresses.
@@ -79,14 +79,9 @@ let next_batch c ~rng buf ~pos ~n =
         off := if o >= extent then 0 else o
       done;
       c.offset <- !off
-  | Random_in { base; extent } ->
-      Ace_util.Rng.fill_int rng extent buf ~pos ~n;
-      if base <> 0 then
-        for i = pos to pos + n - 1 do
-          Array.unsafe_set buf i (base + Array.unsafe_get buf i)
-        done
+  | Random_in { base; extent } -> Ace_util.Rng.fill_int rng extent ~base buf ~pos ~n
   | Pointer_chase { base; extent } ->
-      let granules = extent / 8 |> max 1 in
+      let granules = Int.max 1 (extent / 8) in
       let off = ref c.offset and steps = ref c.steps in
       for i = pos to pos + n - 1 do
         Array.unsafe_set buf i (base + !off);
@@ -118,7 +113,7 @@ let skip c ~rng n =
         end
     | Random_in _ -> Ace_util.Rng.skip rng n
     | Pointer_chase { extent; _ } ->
-        let granules = extent / 8 |> max 1 in
+        let granules = Int.max 1 (extent / 8) in
         for _ = 1 to n do
           c.steps <- c.steps + 1;
           c.offset <- chase_hash ((c.offset * 31) + c.steps) mod granules * 8

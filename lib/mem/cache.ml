@@ -85,9 +85,12 @@ type result = Hit | Miss | Miss_dirty_victim
 let[@inline] holds (tags : int array) (line : int) slot =
   Bool.to_int (Array.unsafe_get tags slot = line)
 
+let[@inline] find_way2 tags line base =
+  holds tags line base + (2 * holds tags line (base + 1))
+
 let[@inline] find_way tags line base assoc =
   match assoc with
-  | 2 -> holds tags line base + (2 * holds tags line (base + 1))
+  | 2 -> find_way2 tags line base
   | 4 ->
       holds tags line base
       + (2 * holds tags line (base + 1))
@@ -104,15 +107,16 @@ let[@inline] find_way tags line base assoc =
    (first minimum).  No recursion, so it is inlined and leaves the batch
    loop free of calls; on a 2-way cache the choice is computed from flags,
    since which way is older is as unpredictable as which way hits. *)
+let[@inline] find_victim2 (tags : int array) (stamp : int array) base =
+  let invalid0 = Bool.to_int (Array.unsafe_get tags base = -1)
+  and invalid1 = Bool.to_int (Array.unsafe_get tags (base + 1) = -1)
+  and older1 =
+    Bool.to_int ((Array.unsafe_get stamp (base + 1) : int) < Array.unsafe_get stamp base)
+  in
+  base + ((1 - invalid0) land (invalid1 lor older1))
+
 let[@inline] find_victim (tags : int array) (stamp : int array) base assoc =
-  if assoc = 2 then
-    let invalid0 = Bool.to_int (Array.unsafe_get tags base = -1)
-    and invalid1 = Bool.to_int (Array.unsafe_get tags (base + 1) = -1)
-    and older1 =
-      Bool.to_int
-        ((Array.unsafe_get stamp (base + 1) : int) < Array.unsafe_get stamp base)
-    in
-    base + ((1 - invalid0) land (invalid1 lor older1))
+  if assoc = 2 then find_victim2 tags stamp base
   else begin
     let best = ref base and best_stamp = ref max_int and w = ref 0 in
     while !w < assoc do
@@ -160,64 +164,110 @@ let access t addr ~write =
     if was_dirty then Miss_dirty_victim else Miss
   end
 
-(* Batched access: perform [n] lookups for [addrs.(0 .. n-1)], producing
-   exactly the same array state and counters as [n] calls to [access].  The
-   write flag is positional: the address stream is [loads] reads followed by
-   [stores] writes, repeated (one basic-block repetition per period), so the
-   caller passes the shape instead of a per-access flag.  Misses are
-   compacted into the caller's scratch arrays — [miss_addrs.(j)] is the
-   j-th missing address and [miss_victims.(j)] its dirty victim's address
-   (or -1 if the victim was clean) — so the next level's fallthrough runs
-   as a separate dense loop over misses only.  An access to the previous
-   access's line is a hit in the slot that access left it in (nothing ran
-   in between), so it skips the way scan: sequential streams touch each
-   line several times in a row.  Field loads, the set mask and the
-   associativity are hoisted out of the loop; counters are folded in once
-   at the end (no observer can run between the individual accesses of a
-   batch, so the intermediate counter values are unobservable).  The local
-   refs are non-escaping and compile to stack slots: the call allocates
-   nothing. *)
+(* A miss of [access_batch]: the victim of the 2-way set at [base] becomes
+   the [j]-th compacted miss (its address, and its dirty victim's address
+   or -1) and takes [line], clean; the result is its slot.  Inlined, so the
+   kernel's loops make no call. *)
+let[@inline] fill2 tags (dirty : bool array) stamp ~line_shift ~miss_addrs
+    ~miss_victims j base line (addr : int) =
+  let victim = find_victim2 tags stamp base in
+  let vtag = Array.unsafe_get tags victim in
+  Array.unsafe_set miss_victims j
+    (if vtag <> -1 && Array.unsafe_get dirty victim then vtag lsl line_shift else -1);
+  Array.unsafe_set miss_addrs j addr;
+  Array.unsafe_set tags victim line;
+  Array.unsafe_set dirty victim false;
+  victim
+
+(* The L1D's batch kernel: [n] lookups for [addrs.(0 .. n-1)], leaving
+   exactly the array state and counters of [n] calls to [access] on a
+   2-way cache.  The address stream is [loads] reads then [stores] writes,
+   repeated (one basic-block repetition per period; the last may be cut
+   short), and each repetition runs as a loads sub-loop and a stores
+   sub-loop, so the write flag belongs to the loop and no access counts
+   its position in the period.  Misses are compacted into the caller's
+   scratch arrays for the next level's pass.
+
+   An access to the line of the access before it is a hit in the slot
+   that access left it in (nothing runs in between), so only a change of
+   line looks the set up.  The slot's LRU stamp is written once per run
+   of accesses to its line, on leaving it: the stamp of the run's last
+   access, which is what per-access stamps would leave there.  That is
+   exact because nothing reads the running line's stamp before the stream
+   leaves it: the flush comes before the next lookup, so the victim scan
+   (the only reader of stamps) sees every earlier stamp, including a miss
+   into the set just left; the last run is flushed after the loop.
+
+   The loop nest makes no call: a call would make OCaml keep every value
+   live across it on the stack, and the loop carries more values than
+   there are registers.  So the way scans and the fill are inlined, and
+   the sub-loop bounds are clamped with [if]s, not [min].  The counters
+   are folded in after the loop, from the compacted misses, since no
+   observer can run between the accesses of a batch.  The local refs do
+   not escape (a closure over them would move them to the heap), so the
+   call allocates nothing. *)
 let access_batch t addrs ~n ~loads ~stores ~miss_addrs ~miss_victims =
+  if t.cfg.assoc <> 2 then invalid_arg "Cache.access_batch: not a 2-way cache";
+  if loads < 0 || stores < 0 || (loads + stores = 0 && n > 0) then
+    invalid_arg "Cache.access_batch: empty or negative period";
+  if
+    n < 0
+    || n > Array.length addrs
+    || n > Array.length miss_addrs
+    || n > Array.length miss_victims
+  then invalid_arg "Cache.access_batch: n outside the arrays";
   let tags = t.tags and dirty = t.dirty and stamp = t.stamp in
-  let line_shift = t.line_shift
-  and set_mask = t.sets - 1
-  and assoc = t.cfg.assoc in
-  let period = loads + stores in
-  (* The LRU clock ticks once per access: access [i] stamps [clock1 + i]. *)
-  let clock1 = t.clock + 1 in
-  let m = ref 0 and k = ref 0 in
-  (* Addresses are non-negative, so no line is -1 and the first access
-     always scans. *)
+  let line_shift = t.line_shift and set_mask = t.sets - 1 in
+  (* The LRU clock ticks once per access: access [i] stamps [clock0 + i + 1]. *)
+  let clock0 = t.clock in
+  let i = ref 0 and m = ref 0 in
+  (* Addresses are non-negative, so no line is -1: the first access looks
+     its set up, with no run before it to flush. *)
   let prev_line = ref (-1) and slot = ref 0 in
-  for i = 0 to n - 1 do
-    let addr = Array.unsafe_get addrs i in
-    let line = addr lsr line_shift in
-    if line <> !prev_line then begin
-      prev_line := line;
-      let base = (line land set_mask) * assoc in
-      let way = find_way tags line base assoc in
-      if way > 0 then slot := base + way - 1
-      else begin
-        let victim = find_victim tags stamp base assoc in
-        let vtag = Array.unsafe_get tags victim in
-        Array.unsafe_set miss_victims !m
-          (if vtag <> -1 && Array.unsafe_get dirty victim then vtag lsl line_shift
-           else -1);
-        Array.unsafe_set miss_addrs !m addr;
-        m := !m + 1;
-        Array.unsafe_set tags victim line;
-        (* A fill takes the access's own dirty bit, set below on a write. *)
-        Array.unsafe_set dirty victim false;
-        slot := victim
-      end
-    end;
-    Array.unsafe_set stamp !slot (clock1 + i);
-    if !k >= loads then Array.unsafe_set dirty !slot true;
-    k := !k + 1;
-    if !k = period then k := 0
+  while !i < n do
+    let e = !i + loads in
+    let loads_end = if e < n then e else n in
+    while !i < loads_end do
+      let line = Array.unsafe_get addrs !i lsr line_shift in
+      if line <> !prev_line then begin
+        if !prev_line >= 0 then Array.unsafe_set stamp !slot (clock0 + !i);
+        prev_line := line;
+        let base = (line land set_mask) * 2 in
+        let way = find_way2 tags line base in
+        if way > 0 then slot := base + way - 1
+        else begin
+          slot :=
+            fill2 tags dirty stamp ~line_shift ~miss_addrs ~miss_victims !m base line
+              (Array.unsafe_get addrs !i);
+          m := !m + 1
+        end
+      end;
+      i := !i + 1
+    done;
+    let e = !i + stores in
+    let stores_end = if e < n then e else n in
+    while !i < stores_end do
+      let line = Array.unsafe_get addrs !i lsr line_shift in
+      if line <> !prev_line then begin
+        if !prev_line >= 0 then Array.unsafe_set stamp !slot (clock0 + !i);
+        prev_line := line;
+        let base = (line land set_mask) * 2 in
+        let way = find_way2 tags line base in
+        if way > 0 then slot := base + way - 1
+        else begin
+          slot :=
+            fill2 tags dirty stamp ~line_shift ~miss_addrs ~miss_victims !m base line
+              (Array.unsafe_get addrs !i);
+          m := !m + 1
+        end
+      end;
+      Array.unsafe_set dirty !slot true;
+      i := !i + 1
+    done
   done;
+  if n > 0 then Array.unsafe_set stamp !slot (clock0 + n);
   (* Dirty evictions, and the last one's address, read back from the
-     compacted misses: kept out of the loop, they cost it no registers. *)
+     compacted misses. *)
   let wb = ref 0 in
   for j = 0 to !m - 1 do
     let victim = Array.unsafe_get miss_victims j in
@@ -226,7 +276,7 @@ let access_batch t addrs ~n ~loads ~stores ~miss_addrs ~miss_victims =
       t.last_victim <- victim
     end
   done;
-  t.clock <- t.clock + n;
+  t.clock <- clock0 + n;
   t.n_accesses <- t.n_accesses + n;
   t.n_hits <- t.n_hits + n - !m;
   t.n_writebacks <- t.n_writebacks + !wb;

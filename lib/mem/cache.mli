@@ -55,16 +55,18 @@ val access_batch :
   int
 (** [access_batch t addrs ~n ~loads ~stores ~miss_addrs ~miss_victims]
     performs [n] accesses for [addrs.(0 .. n-1)], leaving the array state,
-    LRU clock and counters exactly as [n] calls to {!access} would.  The
-    write flag is positional: each period of [loads + stores] addresses is
-    [loads] reads followed by [stores] writes (the basic-block shape), and
-    [n] must be a whole number of periods.  Returns the number of misses
-    [m]; for [j < m], [miss_addrs.(j)] is the j-th missing address in
-    access order and [miss_victims.(j)] is its dirty victim's line-aligned
-    address, or [-1] if the victim was clean — the caller replays these
-    against the next level.  Both scratch arrays must have at least [n]
-    elements.  An access to the same line as the access before it is
-    served from that access's slot without a scan.  Allocates nothing. *)
+    LRU clock and counters exactly as [n] calls to {!access} would.  It is
+    the L1D's kernel and serves 2-way caches only.  The write flag is
+    positional: each period of [loads + stores] addresses is [loads] reads
+    followed by [stores] writes (the basic-block shape); [n] need not be a
+    whole number of periods.  Returns the number of misses [m]; for
+    [j < m], [miss_addrs.(j)] is the j-th missing address in access order
+    and [miss_victims.(j)] is its dirty victim's line-aligned address, or
+    [-1] if the victim was clean — the caller replays these against the
+    next level.  Allocates nothing.
+    @raise Invalid_argument if [t] is not 2-way, if [loads] or [stores] is
+    negative, if [n > 0] and [loads + stores = 0], or if [n] is negative
+    or longer than [addrs] or either scratch array. *)
 
 val last_victim_addr : t -> int
 (** Byte address (line-aligned) of the most recent dirty victim.  Only

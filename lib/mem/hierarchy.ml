@@ -110,7 +110,7 @@ let data_access t ~addr ~write =
    size. *)
 let data_access_batch t ~addrs ~n ~loads ~stores =
   if Array.length t.miss_addrs < n then begin
-    let cap = max n (2 * Array.length t.miss_addrs) in
+    let cap = Int.max n (2 * Array.length t.miss_addrs) in
     t.miss_addrs <- Array.make cap 0;
     t.miss_victims <- Array.make cap 0
   end;

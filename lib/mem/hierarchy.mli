@@ -42,13 +42,14 @@ val data_access_batch : t -> addrs:int array -> n:int -> loads:int -> stores:int
 (** [data_access_batch t ~addrs ~n ~loads ~stores] performs [n] data
     accesses for [addrs.(0 .. n-1)], where each period of [loads + stores]
     addresses is [loads] loads followed by [stores] stores (the basic-block
-    shape; [n] must be a whole number of periods).  All structure state and
+    shape; the last period may be cut short).  All structure state and
     counters end exactly as [n] {!data_access} calls would leave them, but
-    the L1D runs as one dense pass and the TLB/L2/memory fallthrough as a
-    second pass over the compacted misses only.  Returns the summed latency
-    in excess of one [l1_hit] per access — i.e. exactly
-    [Σ (data_access addr - l1_hit)].  Allocation-free at steady state
-    (internal scratch grows geometrically, never per call). *)
+    the L1D runs as one dense pass ({!Cache.access_batch}) and the
+    TLB/L2/memory fallthrough as a second pass over the compacted misses
+    only.  Returns the summed latency in excess of one [l1_hit] per access
+    — i.e. exactly [Σ (data_access addr - l1_hit)].  Allocation-free at
+    steady state (internal scratch grows geometrically, never per call).
+    @raise Invalid_argument as {!Cache.access_batch} does. *)
 
 val ifetch : t -> pc:int -> int
 (** Instruction fetch probe for a basic block (one representative access per

@@ -79,7 +79,7 @@ type t = {
      keeps the stream's CRC-32 up to its event, so the ring's bytes have a
      CRC without being read again (see [ring_crc]).  All empty unless
      lvl = Full. *)
-  offs : int array; (* virtual start of each retained event, by ring slot *)
+  mutable offs : int array; (* virtual start of each retained event, by ring slot *)
   mutable crcs : Bytes.t; (* stream CRC at each [offs], 4 bytes by slot *)
   mutable log : Bytes.t;
   mutable base : int;
@@ -102,7 +102,7 @@ let create ?(capacity = 65536) lvl =
     gauges = Hashtbl.create 8;
     hists = Hashtbl.create 8;
     cap;
-    offs = Array.make cap 0;
+    offs = [||];
     crcs = Bytes.empty;
     log = Bytes.empty;
     base = 0;
@@ -319,10 +319,14 @@ let push t ev =
   reserve t k;
   let at = t.tail - t.base and s = slot t (t.start + t.len) in
   Buffer.blit t.scratch 0 t.log at k;
-  t.offs.(s) <- t.tail;
   (* Allocated here, not in [create], so a sink that records nothing pays
-     nothing for it. *)
-  if Bytes.length t.crcs = 0 then t.crcs <- Bytes.create (4 * t.cap);
+     nothing for them: [oldest] and [ring_crc] read them only once an event
+     is held. *)
+  if Array.length t.offs = 0 then begin
+    t.offs <- Array.make t.cap 0;
+    t.crcs <- Bytes.create (4 * t.cap)
+  end;
+  t.offs.(s) <- t.tail;
   Bytes.set_int32_le t.crcs (4 * s) (Int32.of_int t.tail_crc);
   (* A read-only view for the length of the call, as [Digest.subbytes]
      takes one. *)

@@ -48,10 +48,12 @@ let[@inline] int t bound =
   assert (bound > 0);
   positive_int t mod bound
 
-(* [n] draws of [int t bound] with the state in a local: between draws it
-   stays in a register instead of making a store-to-load round trip
-   through the buffer, so the draws' scrambles and divisions overlap. *)
-let fill_int t bound buf ~pos ~n =
+(* [n] draws of [base + int t bound] with the state in a local: between
+   draws it stays in a register instead of making a store-to-load round
+   trip through the buffer, so the draws' scrambles and divisions overlap.
+   The base is added as each draw is stored, so a caller drawing addresses
+   in a region writes each one once. *)
+let fill_int t bound ~base buf ~pos ~n =
   assert (bound > 0);
   if pos < 0 || n < 0 || pos > Array.length buf - n then
     invalid_arg "Rng.fill_int: range outside the buffer";
@@ -60,7 +62,7 @@ let fill_int t bound buf ~pos ~n =
     let z = Int64.add !state golden_gamma in
     state := z;
     Array.unsafe_set buf i
-      (Int64.to_int (Int64.shift_right_logical (mix z) 2) mod bound)
+      (base + (Int64.to_int (Int64.shift_right_logical (mix z) 2) mod bound))
   done;
   set t 0 !state
 

@@ -38,11 +38,11 @@ val split : t -> t
 val int : t -> int -> int
 (** [int t bound] is uniform in [0, bound).  [bound] must be positive. *)
 
-val fill_int : t -> int -> int array -> pos:int -> n:int -> unit
-(** [fill_int t bound buf ~pos ~n] stores [n] successive [int t bound]
-    draws in [buf.(pos)] … [buf.(pos + n - 1)], leaving [t] where those
-    [n] calls would.  Faster than the calls, because the state stays in a
-    register between draws; allocates nothing.
+val fill_int : t -> int -> base:int -> int array -> pos:int -> n:int -> unit
+(** [fill_int t bound ~base buf ~pos ~n] stores [base + int t bound] for
+    [n] successive draws in [buf.(pos)] … [buf.(pos + n - 1)], leaving [t]
+    where those [n] calls would.  Faster than the calls, because the state
+    stays in a register between draws; allocates nothing.
     @raise Invalid_argument if the range is outside [buf]. *)
 
 val int_in : t -> int -> int -> int

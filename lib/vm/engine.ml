@@ -324,13 +324,13 @@ let exec_block t (b : Block.t) count quality =
      the per-access loop this replaces (see Hierarchy.data_access_batch). *)
   let per_rep = b.Block.loads + b.Block.stores in
   if per_rep > 0 && count > 0 then begin
-    let chunk_reps = max 1 (batch_target / per_rep) in
-    let buf_need = min count chunk_reps * per_rep in
+    let chunk_reps = Int.max 1 (batch_target / per_rep) in
+    let buf_need = Int.min count chunk_reps * per_rep in
     if Array.length t.addr_buf < buf_need then
-      t.addr_buf <- Array.make (max buf_need (2 * Array.length t.addr_buf)) 0;
+      t.addr_buf <- Array.make (Int.max buf_need (2 * Array.length t.addr_buf)) 0;
     let reps_left = ref count in
     while !reps_left > 0 do
-      let reps = min !reps_left chunk_reps in
+      let reps = Int.min !reps_left chunk_reps in
       reps_left := !reps_left - reps;
       let n = reps * per_rep in
       Pattern.next_batch cursor ~rng:t.rng t.addr_buf ~pos:0 ~n;

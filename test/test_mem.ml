@@ -156,19 +156,35 @@ let test_data_access_batch_equiv () =
         (Hierarchy.counts ha = Hierarchy.counts hb))
     batch_shapes
 
+(* Addresses are uniform over 4 MB, where a line almost never repeats, or
+   local: runs inside one line mixed with draws from a footprint twice the
+   L1D's, so runs end on deferred LRU stamps and dirty victims drain into
+   the L2. *)
 let prop_data_access_batch_equiv =
   QCheck.Test.make ~name:"data_access_batch = scalar sequence" ~count:50
     QCheck.(
-      quad (int_range 0 4) (int_range 0 4) (int_range 1 200)
-        (int_range 1 10_000))
-    (fun (loads, stores, reps, seed) ->
+      pair
+        (quad (int_range 0 4) (int_range 0 4) (int_range 1 200)
+           (int_range 1 10_000))
+        bool)
+    (fun ((loads, stores, reps, seed), local) ->
       QCheck.assume (loads + stores > 0);
       let rng = Rng.create ~seed in
       let ha = Hierarchy.create () and hb = Hierarchy.create () in
       let lat = Hierarchy.latencies ha in
       let period = loads + stores in
       let n = period * reps in
-      let addrs = Array.init n (fun _ -> Rng.int rng (1 lsl 22)) in
+      let prev = ref 0 in
+      let addrs =
+        Array.init n (fun _ ->
+            let a =
+              if not local then Rng.int rng (1 lsl 22)
+              else if Rng.bool rng then !prev + Rng.int rng 16
+              else Rng.int rng (1 lsl 17)
+            in
+            prev := a;
+            a)
+      in
       let scalar = ref 0 in
       Array.iteri
         (fun i addr ->

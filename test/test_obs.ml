@@ -184,6 +184,21 @@ let test_off_path_allocation_free () =
   if delta >= 256.0 then
     Alcotest.failf "off-path emissions allocated %.0f minor words" delta
 
+(* A Full sink allocates its ring when it records its first event, not
+   when it is created: its 65,536-slot offset table alone would go straight
+   to the major heap, a cost paid by every run that builds a sink. *)
+let test_full_ring_allocated_on_first_record () =
+  let major () = (Gc.quick_stat ()).Gc.major_words in
+  let before = major () in
+  let obs = Obs.create Obs.Full in
+  let words = major () -. before in
+  if words >= 1024.0 then
+    Alcotest.failf "Obs.create Full allocated %.0f major words" words;
+  Obs.record obs (Obs.Recompile { id = 1 });
+  Alcotest.(check int) "first event held" 1 (Obs.event_count obs);
+  Alcotest.(check bool) "and decodes" true
+    (Obs.events obs = [ { Obs.ts = 0; kind = Obs.Recompile { id = 1 } } ])
+
 (* -- exporters ------------------------------------------------------- *)
 
 let test_chrome_structure_and_escaping () =
@@ -363,6 +378,7 @@ let suite =
     Tu.case "histogram bucket edges" test_histogram_buckets;
     Tu.case "off sink is inert" test_off_sink_inert;
     Tu.case "off path allocates nothing" test_off_path_allocation_free;
+    Tu.case "Full ring allocated on first record" test_full_ring_allocated_on_first_record;
     Tu.case "chrome export structure + escaping" test_chrome_structure_and_escaping;
     Tu.case "csv exports: headers + escaping" test_csv_header_and_escaping;
     Tu.slow_case "report smoke" test_report_smoke;

@@ -214,13 +214,17 @@ let prop_int_in_range =
       let x = Rng.int rng bound in
       x >= 0 && x < bound)
 
-(* [fill_int] is [n] [int] draws: same values, written only inside the
-   range, and the generator left where the draws leave it.  Bounds cover 1,
-   powers of two, bounds above 2^40 and arbitrary ones. *)
+(* [fill_int] is [n] [int] draws offset by the base: same values, written
+   only inside the range, and the generator left where the draws leave it.
+   Bounds cover 1, powers of two, bounds above 2^40 and arbitrary ones;
+   bases cover 0, small ones and ones above 2^40. *)
 let prop_fill_int_matches_int =
   QCheck.Test.make ~name:"fill_int = n int draws" ~count:300
-    QCheck.(quad small_int (int_range 0 3) (int_range 0 300) (int_range 0 5))
-    (fun (seed, kind, n, pos) ->
+    QCheck.(
+      pair
+        (quad small_int (int_range 0 3) (int_range 0 300) (int_range 0 5))
+        (int_range 0 2))
+    (fun ((seed, kind, n, pos), base_kind) ->
       let bound =
         match kind with
         | 0 -> 1
@@ -228,10 +232,16 @@ let prop_fill_int_matches_int =
         | 2 -> (1 lsl 40) + (seed * 7919) + 1
         | _ -> 1 + (seed * 104_729)
       in
+      let base =
+        match base_kind with
+        | 0 -> 0
+        | 1 -> 1 + (seed mod 4096)
+        | _ -> (1 lsl 40) + (seed * 4099)
+      in
       let a = Rng.create ~seed and b = Rng.create ~seed in
       let buf = Array.make (pos + n + 2) (-7) in
-      Rng.fill_int a bound buf ~pos ~n;
-      let expected = Array.init n (fun _ -> Rng.int b bound) in
+      Rng.fill_int a bound ~base buf ~pos ~n;
+      let expected = Array.init n (fun _ -> base + Rng.int b bound) in
       Array.sub buf pos n = expected
       && Array.for_all (( = ) (-7)) (Array.sub buf 0 pos)
       && buf.(pos + n) = -7
@@ -246,9 +256,9 @@ let test_fill_int_range_checked () =
       Alcotest.check_raises
         (Printf.sprintf "pos %d n %d" pos n)
         (Invalid_argument "Rng.fill_int: range outside the buffer")
-        (fun () -> Rng.fill_int rng 10 buf ~pos ~n))
+        (fun () -> Rng.fill_int rng 10 ~base:0 buf ~pos ~n))
     [ (-1, 2); (0, 9); (7, 2); (3, -1) ];
-  Rng.fill_int rng 10 buf ~pos:8 ~n:0
+  Rng.fill_int rng 10 ~base:0 buf ~pos:8 ~n:0
 
 let suite =
   [
