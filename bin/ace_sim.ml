@@ -47,9 +47,23 @@ let rate_conv =
   in
   Arg.conv (parse, Format.pp_print_float)
 
+(* Positive, finite reals (scale, deadline, timeout, ENOSPC window):
+   anything else is rejected at parse time, not clamped downstream. *)
+let pos_float_conv what =
+  let parse s =
+    match float_of_string_opt s with
+    | None -> Error (`Msg (Printf.sprintf "invalid %s %S" what s))
+    | Some f when not (f > 0.0 && Float.is_finite f) ->
+        Error (`Msg (Printf.sprintf "%s must be positive (got %g)" what f))
+    | Some f -> Ok f
+  in
+  Arg.conv (parse, Format.pp_print_float)
+
 let scale_arg =
-  let doc = "Workload scale factor (1.0 = default reproduction scale)." in
-  Arg.(value & opt float 1.0 & info [ "scale" ] ~docv:"X" ~doc)
+  let doc =
+    "Workload scale factor, positive (1.0 = default reproduction scale)."
+  in
+  Arg.(value & opt (pos_float_conv "scale") 1.0 & info [ "scale" ] ~docv:"X" ~doc)
 
 let seed_arg =
   let doc = "Deterministic seed for workload construction and simulation." in
@@ -81,11 +95,26 @@ let resilient_arg =
           "Enable the framework's resilience machinery (retry/backoff, \
            quarantine, graceful degradation; hotspot scheme only).")
 
+(* The one --sample flag of run, report, exp and submit, read as the
+   sampling configuration it selects; [note] is the command's own rule. *)
+let sample_arg note =
+  Term.(
+    const Ace_sample.Sample.of_flag
+    $ Arg.(
+        value & flag
+        & info [ "sample" ]
+            ~doc:
+              ("Phase-memoized fast-forward sampling: once a recurring \
+                optimized phase's statistics stabilize, replay its repeats \
+                from the memoized record instead of simulating every cache \
+                access.  Architectural results are exact; timing and energy \
+                are within the memoization bound.  " ^ note)))
+
 (* Memoized phase statistics are only invalidated safely when the framework
    can detect and recover from faulty configurations, so a sampled faulty
    run without the resilient policy is a usage error (exit 2). *)
 let check_sample_faults ~sample ~fault_rate ~resilient =
-  if sample && fault_rate <> None && not resilient then begin
+  if sample <> None && fault_rate <> None && not resilient then begin
     Printf.eprintf
       "ace_sim: --sample with --faults requires --resilient (memoized \
        phase statistics are only invalidated safely when the framework \
@@ -196,17 +225,8 @@ let run_cmd =
              boundary at or past $(docv) instructions (positive), leaving \
              the last snapshot on disk.")
   in
-  let sample_flag =
-    Arg.(
-      value & flag
-      & info [ "sample" ]
-          ~doc:
-            "Phase-memoized fast-forward sampling: once a recurring \
-             optimized phase's statistics stabilize, replay its repeats \
-             from the memoized record instead of simulating every cache \
-             access.  Architectural results are exact; timing and energy \
-             are within the memoization bound.  Requires $(b,--resilient) \
-             when combined with $(b,--faults).")
+  let sample =
+    sample_arg "Requires $(b,--resilient) when combined with $(b,--faults)."
   in
   let sample_repeats =
     Arg.(
@@ -218,34 +238,28 @@ let run_cmd =
              (positive; default 3).  Only valid with $(b,--sample).")
   in
   let action workload scheme scale seed verbose fault_rate resilient checkpoint
-      checkpoint_every resume kill_after sample_flag sample_repeats trace
-      metrics obs_level =
+      checkpoint_every resume kill_after sample sample_repeats trace metrics
+      obs_level =
     let obs = Export.sink (Option.value obs_level ~default:Obs.Off) ~trace ~metrics in
     (* --sample flag validation: the combinations below would silently
        produce misleading results, so they are hard errors (exit 2, like a
        usage error). *)
-    if sample_repeats <> None && not sample_flag then begin
+    if sample_repeats <> None && sample = None then begin
       Printf.eprintf "ace_sim: --sample-repeats requires --sample\n";
       exit 2
     end;
-    check_sample_faults ~sample:sample_flag ~fault_rate ~resilient;
-    if sample_flag && resume <> None then begin
+    check_sample_faults ~sample ~fault_rate ~resilient;
+    if sample <> None && resume <> None then begin
       Printf.eprintf
         "ace_sim: --sample cannot be set on --resume (the snapshot's \
          metadata decides whether the run is sampled)\n";
       exit 2
     end;
     let sample =
-      if not sample_flag then None
-      else
-        Some
-          {
-            Ace_sample.Sample.default_config with
-            Ace_sample.Sample.repeats =
-              (match sample_repeats with
-              | Some n -> n
-              | None -> Ace_sample.Sample.default_config.Ace_sample.Sample.repeats);
-          }
+      match sample_repeats with
+      | None -> sample
+      | Some repeats ->
+          Option.map (fun c -> { c with Ace_sample.Sample.repeats }) sample
     in
     (* Exports are written for killed runs too: the trace of a crashed run
        is exactly what one wants to look at. *)
@@ -262,16 +276,16 @@ let run_cmd =
     in
     match resume with
     | Some path -> (
-        match Ace_harness.Run.resume_run ?kill_after ~obs ~path () with
+        match Ace_harness.Run.restore_latest ~obs ~path () with
         | None ->
             Printf.eprintf
               "ace_sim: no usable snapshot at %s (nor at %s.1)\n" path path;
             exit 1
-        | Some (outcome, which) ->
+        | Some (r, which) ->
             if which = `Fallback then
               Printf.eprintf
                 "ace_sim: newest snapshot unusable, resumed from %s.1\n" path;
-            finish_outcome outcome)
+            finish_outcome (Ace_harness.Run.continue ?kill_after ~path r))
     | None -> (
         let workload =
           match workload with
@@ -288,13 +302,10 @@ let run_cmd =
                  ?fault_rate ?sample ?kill_after ~obs ~checkpoint_every ~path
                  workload scheme)
         | None ->
-            let faults =
-              Option.map (fun rate -> Ace_faults.Faults.preset ~rate) fault_rate
-            in
             let r =
               Ace_harness.Run.run ~scale ~seed
                 ~framework_config:(Ace_core.Framework.config_for ~resilient)
-                ?faults ?sample ~obs workload scheme
+                ?fault_rate ?sample ~obs workload scheme
             in
             Export.write ~trace ~metrics obs;
             print_summary r;
@@ -320,7 +331,7 @@ let run_cmd =
     Term.(
       const action $ workload $ scheme_arg $ scale_arg $ seed_arg $ verbose
       $ faults_arg $ resilient_arg $ checkpoint $ checkpoint_every $ resume
-      $ kill_after $ sample_flag $ sample_repeats $ trace_arg $ metrics_arg
+      $ kill_after $ sample $ sample_repeats $ trace_arg $ metrics_arg
       $ obs_level_arg)
 
 let report_cmd =
@@ -331,20 +342,12 @@ let report_cmd =
       & info [] ~docv:"BENCHMARK" ~doc:"SPECjvm98 benchmark name.")
   in
   let sample =
-    Arg.(
-      value & flag
-      & info [ "sample" ]
-          ~doc:
-            "Run under phase-memoized fast-forward sampling; the report's \
-             $(i,sampled regions) line counts the spliced regions.")
+    sample_arg "The report's $(i,sampled regions) line counts the spliced regions."
   in
   let action workload scheme scale seed sample =
     let obs = Obs.create Obs.Full in
     let (_ : Ace_harness.Run.result) =
-      Ace_harness.Run.run ~scale ~seed ~obs
-        ?sample:
-          (if sample then Some Ace_sample.Sample.default_config else None)
-        workload scheme
+      Ace_harness.Run.run ~scale ~seed ~obs ?sample workload scheme
     in
     print_string (Export.report obs)
   in
@@ -391,20 +394,16 @@ let exp_cmd =
             "Torture only: enumerate the crash-point matrix under seeds 1 \
              through $(docv).  Ignored by the other experiments.")
   in
-  let sample_flag =
-    Arg.(
-      value & flag
-      & info [ "sample" ]
-          ~doc:
-            "Run every simulation in the experiment under phase-memoized \
-             fast-forward sampling (not valid with $(b,sample-accuracy), \
-             which already compares sampled vs full, nor with \
-             $(b,torture)).")
+  let sample =
+    sample_arg
+      "Applies to every simulation in the experiment; not valid with \
+       $(b,sample-accuracy), which already compares sampled vs full, nor \
+       with $(b,torture)."
   in
   let action id scale seed jobs seeds sample =
     (* sample-accuracy runs both sides itself; a context-wide --sample
        would collapse the comparison to sampled-vs-sampled. *)
-    if sample && (id = "sample-accuracy" || id = "torture") then begin
+    if sample <> None && (id = "sample-accuracy" || id = "torture") then begin
       Printf.eprintf "ace_sim: --sample is not valid with %s\n" id;
       exit 2
     end;
@@ -422,12 +421,7 @@ let exp_cmd =
       if Ace_serve.Torture.total_violations tallies > 0 then exit 1
     end
     else
-    let ctx =
-      Ace_harness.Experiments.create ~scale ~seed ~jobs
-        ?sample:
-          (if sample then Some Ace_sample.Sample.default_config else None)
-        ()
-    in
+    let ctx = Ace_harness.Experiments.create ~scale ~seed ~jobs ?sample () in
     let print (name, tbl) =
       Printf.printf "== %s ==\n" name;
       Ace_util.Table.print tbl;
@@ -445,7 +439,7 @@ let exp_cmd =
          storage-crash torture matrix."
   in
   Cmd.v info
-    Term.(const action $ id $ scale_arg $ seed_arg $ jobs $ seeds $ sample_flag)
+    Term.(const action $ id $ scale_arg $ seed_arg $ jobs $ seeds $ sample)
 
 let list_cmd =
   let action () =
@@ -473,16 +467,6 @@ let socket_arg =
     & opt (some string) None
     & info [ "socket" ] ~docv:"PATH"
         ~doc:"Unix-domain socket path of the serve daemon.")
-
-let pos_float_conv what =
-  let parse s =
-    match float_of_string_opt s with
-    | None -> Error (`Msg (Printf.sprintf "invalid %s %S" what s))
-    | Some f when not (f > 0.0 && Float.is_finite f) ->
-        Error (`Msg (Printf.sprintf "%s must be positive (got %g)" what f))
-    | Some f -> Ok f
-  in
-  Arg.conv (parse, Format.pp_print_float)
 
 let serve_cmd =
   let spool =
@@ -626,14 +610,7 @@ let submit_cmd =
              first checkpoint boundary at or past $(docv) instructions \
              (exercises retry and quarantine).")
   in
-  let sample =
-    Arg.(
-      value & flag
-      & info [ "sample" ]
-          ~doc:
-            "Run the job under phase-memoized fast-forward sampling.  With \
-             $(b,--faults) it requires $(b,--resilient).")
-  in
+  let sample = sample_arg "With $(b,--faults) it requires $(b,--resilient)." in
   let wait =
     Arg.(
       value & flag
@@ -653,7 +630,7 @@ let submit_cmd =
       deadline fail_after wait timeout =
     check_sample_faults ~sample ~fault_rate ~resilient;
     let spec =
-      Serve_protocol.job_spec ?fault_rate ~resilient ~sample
+      Serve_protocol.job_spec ?fault_rate ~resilient ~sample:(sample <> None)
         ?deadline_s:deadline ?fail_after ~scale ~seed
         ~workload:workload.Ace_workloads.Workload.name scheme
     in

@@ -40,11 +40,9 @@ type t = {
   mutable phases : phase_state array;
   mutable n_phases : int;
   accts : Accounting.t option array;
-  (* Pending configuration test: (phase id, config index, stage).  A test
-     whose installation actually changed hardware first runs one warm
-     interval so the flush/refill transient stays out of the measurement
-     (the same treatment the hotspot tuner applies). *)
-  mutable pending : (int * int * [ `Warm | `Measure ]) option;
+  (* Pending configuration test: (phase id, config index).  The trial is
+     measured in the interval right after it is installed. *)
+  mutable pending : (int * int) option;
   (* snapshot of counters at the last interval boundary *)
   mutable instrs0 : int;
   mutable cycles0 : float;
@@ -127,22 +125,10 @@ let handle_applied t cu_idx flushed_lines =
         ~accesses_now:(cu.Cu.accesses_now ())
         ~cycles_now:(Engine.cycles t.engine) ~flushed_lines
 
-(* Request a full configuration; returns (applied, needs_warm): [applied] =
-   no CU denied it; [needs_warm] = a coarse-grained CU (reconfiguration
-   interval at least as long as the sampling interval, i.e. the L2) actually
-   switched, so its flush/refill transient spans a good part of the next
-   interval and that interval must not be measured.  Fine-grained CU
-   transients (L1D refill, a few thousand cycles) are amortized by the 1 M
-   interval and measured immediately.  [count_reconfigs] marks applications
-   of a tuned phase's best config. *)
+(* Request a full configuration; true when no CU denied it.
+   [count_reconfigs] marks applications of a tuned phase's best config. *)
 let apply_config t config ~count_reconfigs =
   let ok = ref true in
-  let needs_warm = ref false in
-  let interval =
-    match (Engine.config t.engine).Engine.interval_instrs with
-    | Some n -> n
-    | None -> assert false (* checked at attach *)
-  in
   let now_instrs = Engine.instrs t.engine in
   Array.iteri
     (fun i _cu ->
@@ -150,11 +136,10 @@ let apply_config t config ~count_reconfigs =
       | Hw.Unchanged -> ()
       | Hw.Denied -> ok := false
       | Hw.Applied { flushed_lines } ->
-          if t.cus.(i).Cu.reconfig_interval >= interval then needs_warm := true;
           handle_applied t i flushed_lines;
           if count_reconfigs then t.reconfigs.(i) <- t.reconfigs.(i) + 1)
     config;
-  (!ok, !needs_warm)
+  !ok
 
 let max_config t = Array.make (Array.length t.cus) 0
 
@@ -188,7 +173,7 @@ let on_interval t =
     else begin
     (* Resolve a pending configuration test. *)
     (match t.pending with
-    | Some (p, idx, `Measure) when p = phase ->
+    | Some (p, idx) when p = phase ->
         let config = t.configs.(idx) in
         st.measurements <-
           {
@@ -232,14 +217,11 @@ let on_interval t =
       | None ->
           if st.next < Array.length t.configs then begin
             let idx = st.next in
-            let applied, _changed =
-              apply_config t t.configs.(idx) ~count_reconfigs:false
-            in
-            (* One configuration per sampling interval, measured immediately
-               (the 1 M-instruction interval amortizes the install
-               transient), exactly as the paper's BBV baseline. *)
-            if applied then begin
-              t.pending <- Some (phase, idx, `Measure);
+            (* One configuration per sampling interval, measured in the
+               next one (the 1 M-instruction interval amortizes the
+               install transient), exactly as the paper's BBV baseline. *)
+            if apply_config t t.configs.(idx) ~count_reconfigs:false then begin
+              t.pending <- Some (phase, idx);
               t.n_tunings <- t.n_tunings + 1
             end
           end
@@ -392,8 +374,19 @@ let predictor_stats t =
 
 (* {2 Checkpoints} *)
 
+(* The v4 body keeps a stage byte after a pending trial: 1, a measured
+   trial, is the only stage; any other byte is refused. *)
 let pending_codec =
-  Ace_util.Codec.(option (triple int int (enum "pending stage" [ `Warm; `Measure ])))
+  let open Ace_util.Codec in
+  let measured = case 1 unit Fun.id in
+  let stage =
+    variant "pending stage" [ Case measured ] (fun w () -> write w measured ())
+  in
+  option
+    (conv
+       (fun (p, i) -> (p, i, ()))
+       (fun (p, i, ()) -> (p, i))
+       (triple int int stage))
 
 let measurements_codec = Ace_util.Codec.list Ace_core.Tuner.measurement_codec
 let best_codec = Ace_util.Codec.(option (array int))

@@ -27,7 +27,9 @@ let error_to_string = function
   | Malformed msg -> "malformed snapshot: " ^ msg
   | Unreadable msg -> "cannot read snapshot: " ^ msg
 
-type scheme = Baseline | Hotspot | Bbv
+type scheme = Fixed_baseline | Hotspot | Bbv
+
+let scheme_codec = enum "scheme" [ Fixed_baseline; Hotspot; Bbv ]
 
 type meta = {
   workload : string;
@@ -63,7 +65,7 @@ let sample_config =
 
 let meta_codec =
   let+ workload = field string (fun m -> m.workload)
-  and+ scheme = field (enum "scheme" [ Baseline; Hotspot; Bbv ]) (fun m -> m.scheme)
+  and+ scheme = field scheme_codec (fun m -> m.scheme)
   and+ scale = field float (fun m -> m.scale)
   and+ seed = field int (fun m -> m.seed)
   and+ hot_threshold = field int (fun m -> m.hot_threshold)
@@ -79,6 +81,7 @@ let meta_codec =
 (* A meta that decodes but describes no run the harness could build is as
    malformed as a bad tag. *)
 let check_meta m =
+  if not (Float.is_finite m.scale && m.scale > 0.0) then malformed "scale %g" m.scale;
   if m.checkpoint_every <= 0 then malformed "checkpoint cadence %d" m.checkpoint_every;
   (match m.fault_rate with
   | Some r when not (r >= 0.0 && r <= 1.0) -> malformed "fault rate %g" r

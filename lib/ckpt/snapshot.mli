@@ -49,15 +49,22 @@ exception Error of error
 val error_to_string : error -> string
 (** Human-readable rendering, for logs and CLI messages. *)
 
-(** Which adaptation scheme the checkpointed run was using. *)
-type scheme = Baseline | Hotspot | Bbv
+(** Which adaptation scheme the checkpointed run was using; the harness's
+    [Scheme.t] is this type. *)
+type scheme = Fixed_baseline | Hotspot | Bbv
+
+val scheme_codec : scheme Ace_util.Codec.t
+(** One tag byte, the constructor's position: the snapshot meta, the
+    body's scheme section and the serve daemon's job spec all use it. *)
 
 (** Everything needed to rebuild the run's construction-time inputs:
     workload program, engine config, CU family, scheme wiring. *)
 type meta = {
   workload : string;  (** Workload registry name. *)
   scheme : scheme;
-  scale : float;  (** Workload scale factor. *)
+  scale : float;
+      (** Workload scale factor; {!decode} refuses one that is not
+          positive and finite. *)
   seed : int;
   hot_threshold : int;
   with_issue_queue : bool;  (** Hotspot scheme: manage the issue queue CU. *)

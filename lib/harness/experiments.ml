@@ -93,7 +93,7 @@ let compute_variant t w variant =
       Run.run ~scale:t.scale ~seed:t.seed
         ~framework_config:(Ace_core.Framework.config_for ~resilient)
         ?sample:(if resilient then t.sample else None)
-        ~faults:(Ace_faults.Faults.preset ~rate) w scheme
+        ~fault_rate:rate w scheme
 
 let run_variant t w variant =
   let key = (w.Workload.name, variant) in
@@ -818,7 +818,7 @@ let stability t =
       seeds
   in
   List.iter
-    (fun c -> warm_std c [ Scheme.Fixed_baseline; Scheme.Hotspot; Scheme.Bbv ])
+    (fun c -> warm_std c Scheme.all)
     ctxs;
   let row label f =
     let values = List.map f ctxs in
@@ -870,7 +870,7 @@ let soak ?(cycles = 20) t =
      one pool job.  The cleanup guard removes every snapshot family member
      (including in-flight [.tmp] files and the uninterrupted [.baseline]
      runs') even when a soak raises mid-cycle. *)
-  let schemes = [ Scheme.Fixed_baseline; Scheme.Hotspot; Scheme.Bbv ] in
+  let schemes = Scheme.all in
   let soaks =
     Ace_util.Scratch.with_temp_snapshots ~prefix:"ace_soak"
       ~also:(fun p -> Ace_util.Scratch.snapshot_family (p ^ ".baseline"))
@@ -910,7 +910,7 @@ let soak ?(cycles = 20) t =
    times; bench/main.exe --sample-json measures the speedup), so output is
    byte-identical across [jobs].  Not part of [all]. *)
 let sample_accuracy t =
-  let schemes = [ Scheme.Fixed_baseline; Scheme.Hotspot; Scheme.Bbv ] in
+  let schemes = Scheme.all in
   warm t
     (List.concat_map
        (fun s ->

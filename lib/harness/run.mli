@@ -72,16 +72,17 @@ val run :
   ?framework_config:Ace_core.Framework.config ->
   ?with_issue_queue:bool ->
   ?bbv_prediction:bool ->
-  ?faults:Ace_faults.Faults.config ->
+  ?fault_rate:float ->
   ?sample:Ace_sample.Sample.config ->
   ?obs:Ace_obs.Obs.t ->
   Ace_workloads.Workload.t ->
   Scheme.t ->
   result
 (** Build the workload, create a fresh engine, attach the scheme, execute,
-    finalize, and summarize.  [faults] (off by default) attaches a seeded
-    fault injector — derived deterministically from [seed] — to the engine's
-    measurement path and to every control register write the scheme issues.
+    finalize, and summarize.  [fault_rate] (off by default) attaches a
+    fault injector with [Faults.preset ~rate], seeded deterministically
+    from [seed], to the engine's measurement path and to every control
+    register write the scheme issues.
     [sample] (off by default) attaches the phase-memoized fast-forward
     sampler ([Ace_sample.Sample]) after the scheme, with the scheme's
     quiescence guard, so recurring settled phases are replayed from
@@ -109,6 +110,25 @@ type ckpt_outcome =
   | Completed of result
   | Killed_at of int  (** The run was killed at this instruction boundary. *)
 
+val meta :
+  ?scale:float ->
+  ?seed:int ->
+  ?hot_threshold:int ->
+  ?with_issue_queue:bool ->
+  ?bbv_prediction:bool ->
+  ?resilient:bool ->
+  ?fault_rate:float ->
+  ?sample:Ace_sample.Sample.config ->
+  checkpoint_every:int ->
+  string ->
+  Scheme.t ->
+  Ace_ckpt.Snapshot.meta
+(** The meta of a checkpointed run of the named workload.  Its defaults
+    are set here and nowhere else: scale 1.0, seed 1,
+    {!default_hot_threshold}, no issue queue, no BBV prediction, no
+    resilience, no faults, no sampling.
+    @raise Invalid_argument if [checkpoint_every] is not positive. *)
+
 val run_checkpointed :
   ?io:Ace_util.Io.t ->
   ?scale:float ->
@@ -130,33 +150,20 @@ val run_checkpointed :
   ckpt_outcome
 (** Like {!run}, but snapshot the full simulator state to [path] every
     [checkpoint_every] instructions (atomic write; the previous snapshot is
-    rotated to [path.1]).  The workload must be registered in
-    [Ace_workloads.Specjvm] so a resume can rebuild it by name.  [resilient]
-    enables the resilient tuner policy; [fault_rate] turns on
-    [Faults.preset ~rate] with the same derived seed {!run} uses; [sample]
-    enables phase-memoized fast-forwarding and rides in the snapshot
-    metadata, so a resume reattaches the sampler and restores its cache.
-    [kill_after] simulates a crash: the run stops with [Killed_at] at the
-    first interval boundary at or past it (before writing that boundary's
-    snapshot).  [on_snapshot] observes every snapshot just before it is
-    written, after the run has been serialized into it (the determinism
-    oracle collects them).  [on_boundary] runs at
-    every interval boundary {e after} any snapshot due at that boundary has
-    been written — the serve daemon's drain, deadline and chaos-kill checks
-    live there, so stopping a run through it always leaves a snapshot of
-    the progress already made.  Any exception it raises aborts the run and
-    propagates to the caller.  [obs] state is written into every snapshot,
-    so a later resume continues the same metrics and timeline.  All
-    snapshot filesystem traffic goes through [io] (default
-    [Ace_util.Io.real]) — the torture harness substitutes crash-point and
-    fault backends here.
+    rotated to [path.1]): the fresh run of {!meta}, {!continue}d.  The
+    workload must be registered in [Ace_workloads.Specjvm] so a resume can
+    rebuild it by name.  [resilient] enables the resilient tuner policy;
+    [sample] enables phase-memoized fast-forwarding and rides in the
+    snapshot metadata, so a resume reattaches the sampler and restores its
+    cache.  [obs] state is written into every snapshot, so a later resume
+    continues the same metrics and timeline.
     @raise Invalid_argument if [checkpoint_every] is not positive. *)
 
-type resumed
-(** A run rebuilt from a snapshot's metadata with its body read back in:
-    a live mid-run state, ready to {!continue}. *)
+type durable
+(** A run built from a snapshot meta, either fresh or with a snapshot's
+    body read back in (a live mid-run state), ready to {!continue}. *)
 
-val restore : ?obs:Ace_obs.Obs.t -> Ace_ckpt.Snapshot.t -> resumed
+val restore : ?obs:Ace_obs.Obs.t -> Ace_ckpt.Snapshot.t -> durable
 (** Rebuild the run the snapshot's metadata describes and read the body
     into it.  The snapshot's observability image is loaded into [obs]
     (metrics resume their counts; a [Full] sink also gets the ring back),
@@ -172,16 +179,29 @@ val restore_latest :
   ?obs:Ace_obs.Obs.t ->
   path:string ->
   unit ->
-  (resumed * [ `Primary | `Fallback ]) option
+  (durable * [ `Primary | `Fallback ]) option
 (** {!restore} the snapshot at [path], falling back to [path.1] when the
     newest one is truncated, fails its CRC or does not restore (e.g. under
     injected storage faults).  [None] when neither restores. *)
 
-val capture : resumed -> Ace_ckpt.Snapshot.t
+val reopen :
+  ?io:Ace_util.Io.t ->
+  path:string ->
+  Ace_ckpt.Snapshot.meta ->
+  durable * [ `Primary | `Fallback | `Fresh ]
+(** The one recovery policy of a durable run, shared by the serve daemon,
+    the torture matrix and the soak supervisor: {!restore_latest} at
+    [path] (the newest snapshot that restores, else [path.1]), else a
+    fresh run built from [meta].  A restored run keeps the meta its
+    snapshot carries.  The run's sink is {!Ace_obs.Obs.null}.
+    @raise Invalid_argument if no snapshot restores and [meta] names no
+    registered workload. *)
+
+val capture : durable -> Ace_ckpt.Snapshot.t
 (** The snapshot the run would write now. *)
 
-val engine : resumed -> Ace_vm.Engine.t
-val sampler : resumed -> Ace_sample.Sample.t option
+val engine : durable -> Ace_vm.Engine.t
+val sampler : durable -> Ace_sample.Sample.t option
 
 val continue :
   ?io:Ace_util.Io.t ->
@@ -189,12 +209,24 @@ val continue :
   ?on_snapshot:(Ace_ckpt.Snapshot.t -> unit) ->
   ?on_boundary:(total_instrs:int -> unit) ->
   ?path:string ->
-  resumed ->
+  durable ->
   ckpt_outcome
-(** Continue a restored run to completion, first recording a ring-only
-    [Ckpt_restore] marker on a [Full] sink.  With [path] set it keeps
-    writing checkpoints there (and honours [kill_after]); without it this
-    is a pure replay. *)
+(** Run a durable run to completion: a fresh one from its start, a
+    restored one from its snapshot, first recording a ring-only
+    [Ckpt_restore] marker on a [Full] sink.  With [path] set it writes
+    checkpoints there and honours [kill_after]; without it this is a pure
+    replay.  [kill_after] simulates a crash: the run stops with
+    [Killed_at] at the first interval boundary at or past it (before
+    writing that boundary's snapshot).  [on_snapshot] observes every
+    snapshot just before it is written, after the run has been serialized
+    into it (the determinism oracle collects them).  [on_boundary] runs at
+    every interval boundary {e after} any snapshot due at that boundary has
+    been written — the serve daemon's drain, deadline and chaos-kill checks
+    live there, so stopping a run through it always leaves a snapshot of
+    the progress already made.  Any exception it raises aborts the run and
+    propagates to the caller.  All snapshot filesystem traffic goes
+    through [io] (default [Ace_util.Io.real]) — the torture harness
+    substitutes crash-point and fault backends here. *)
 
 val resume_from_snapshot :
   ?io:Ace_util.Io.t ->
@@ -207,15 +239,3 @@ val resume_from_snapshot :
   ckpt_outcome
 (** {!restore}, then {!continue}.
     @raise Ace_ckpt.Snapshot.Error as {!restore} does. *)
-
-val resume_run :
-  ?io:Ace_util.Io.t ->
-  ?kill_after:int ->
-  ?on_boundary:(total_instrs:int -> unit) ->
-  ?obs:Ace_obs.Obs.t ->
-  path:string ->
-  unit ->
-  (ckpt_outcome * [ `Primary | `Fallback ]) option
-(** {!restore_latest}, then {!continue} writing checkpoints to [path].
-    [None] when neither file holds a snapshot that restores — the caller
-    restarts from scratch. *)

@@ -1,4 +1,4 @@
-type t = Fixed_baseline | Hotspot | Bbv
+type t = Ace_ckpt.Snapshot.scheme = Fixed_baseline | Hotspot | Bbv
 
 let name = function
   | Fixed_baseline -> "baseline"

@@ -1,6 +1,8 @@
-(** The three resource-management schemes the paper compares. *)
+(** The three resource-management schemes the paper compares.  The type is
+    the snapshot meta's, so a checkpoint names its scheme without a
+    conversion. *)
 
-type t =
+type t = Ace_ckpt.Snapshot.scheme =
   | Fixed_baseline
       (** Caches pinned at maximum sizes (the paper's energy baseline). *)
   | Hotspot  (** The DO-based ACE management framework (the contribution). *)

@@ -72,9 +72,9 @@ let chaos_soak ?(scale = 1.0) ?(seed = 1) ?(fault_rate = 0.01) ?(cycles = 20)
     | Run.Completed r -> r
     | Run.Killed_at _ -> assert false
   in
-  let run_fresh ?kill_after () =
-    Run.run_checkpointed ~scale ~seed ~fault_rate ?kill_after ~checkpoint_every
-      ~path workload scheme
+  let meta =
+    Run.meta ~scale ~seed ~fault_rate ~checkpoint_every
+      workload.Ace_workloads.Workload.name scheme
   in
   (* Kill points are drawn from a supervisor stream independent of the run's
      own seeds, and increase monotonically so every cycle makes progress even
@@ -85,28 +85,23 @@ let chaos_soak ?(scale = 1.0) ?(seed = 1) ?(fault_rate = 0.01) ?(cycles = 20)
   let restarts = ref 0 in
   let fallbacks = ref 0 in
   let kill_at = ref 0 in
-  let started = ref false in
   let final = ref None in
-  for _ = 1 to cycles do
+  (* Every life, the first included, recovers as the daemon does.  The
+     first finds no snapshot and is no restart; a later [`Fresh] means both
+     snapshot generations were unusable (corrupted, or the run died before
+     its first checkpoint). *)
+  let life ?kill_after cycle =
+    let r, how = Run.reopen ~path meta in
+    (match how with
+    | `Primary -> ()
+    | `Fallback -> incr fallbacks
+    | `Fresh -> if cycle > 1 then incr restarts);
+    Run.continue ?kill_after ~path r
+  in
+  for cycle = 1 to cycles do
     if Option.is_none !final then begin
       kill_at := !kill_at + 1 + Rng.int rng span;
-      let outcome =
-        if not !started then begin
-          started := true;
-          run_fresh ~kill_after:!kill_at ()
-        end
-        else
-          match Run.resume_run ~kill_after:!kill_at ~path () with
-          | Some (o, which) ->
-              if which = `Fallback then incr fallbacks;
-              o
-          | None ->
-              (* Both snapshot generations unusable (corrupted, or the run
-                 died before its first checkpoint): start over. *)
-              incr restarts;
-              run_fresh ~kill_after:!kill_at ()
-      in
-      match outcome with
+      match life ~kill_after:!kill_at cycle with
       | Run.Killed_at _ -> incr kills
       | Run.Completed r -> final := Some r
     end
@@ -115,17 +110,9 @@ let chaos_soak ?(scale = 1.0) ?(seed = 1) ?(fault_rate = 0.01) ?(cycles = 20)
     match !final with
     | Some r -> r
     | None -> (
-        match Run.resume_run ~path () with
-        | Some (o, which) -> (
-            if which = `Fallback then incr fallbacks;
-            match o with
-            | Run.Completed r -> r
-            | Run.Killed_at _ -> assert false)
-        | None -> (
-            incr restarts;
-            match run_fresh () with
-            | Run.Completed r -> r
-            | Run.Killed_at _ -> assert false))
+        match life (cycles + 1) with
+        | Run.Completed r -> r
+        | Run.Killed_at _ -> assert false)
   in
   let corrupted =
     match result.Run.fault_stats with

@@ -58,6 +58,8 @@ val chaos_soak :
     points and resume it from disk, under [fault_rate] (default 1%) register
     and storage faults, for up to [cycles] (default 20) kill/resume cycles;
     then run the survivor to completion and compare against an uninterrupted
-    baseline.  Corrupted snapshots exercise the CRC check and [path.1]
-    fallback; if both generations are bad the run restarts from scratch,
-    which must converge to the same table. *)
+    baseline.  Every life recovers through {!Run.reopen}, as the serve
+    daemon's jobs do, so [path] must hold no snapshot at the start (an
+    empty temp file will do).  Corrupted snapshots exercise the CRC check
+    and [path.1] fallback; if both generations are bad the run restarts
+    from scratch, which must converge to the same table. *)

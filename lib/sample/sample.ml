@@ -24,6 +24,8 @@ type config = {
 let default_config =
   { warmup = 2; repeats = 3; cov_bound = 0.05; recalibrate_every = 64 }
 
+let of_flag on = if on then Some default_config else None
+
 let validate_config c =
   if c.warmup < 0 then Error "negative warmup"
   else if c.repeats < 1 then Error "repeats must be at least 1"

@@ -43,6 +43,10 @@ type config = {
 val default_config : config
 (** warmup 2, repeats 3, cov_bound 0.05, recalibrate_every 64. *)
 
+val of_flag : bool -> config option
+(** What a [--sample] flag, or a serve job spec's [sample] field,
+    selects: {!default_config} when set. *)
+
 val validate_config : config -> (unit, string) result
 (** Reject nonsensical thresholds (negative warmup, repeats < 1,
     non-finite or negative bound, negative recalibration period). *)

@@ -153,34 +153,16 @@ let exec_job ~cfg ~chaos ~drain ~mb id (spec : Protocol.job_spec) =
           raise (Deadline_exceeded d)
       | _ -> ()
     in
-    let outcome =
-      match Run.restore_latest ~io ~path () with
-      | Some (r, _which) ->
-          last := Ace_vm.Engine.instrs (Run.engine r);
-          post mb (M_resumed { id; instrs = !last });
-          Run.continue ~io ~on_boundary ~path r
-      | None ->
-          let workload =
-            match Ace_workloads.Specjvm.find spec.Protocol.workload with
-            | Some w -> w
-            | None ->
-                (* Submit validated the name; reaching this means the spool
-                   outlived the workload registry. *)
-                invalid_arg
-                  (Printf.sprintf "unknown workload %S" spec.Protocol.workload)
-          in
-          Run.run_checkpointed ~io ~scale:spec.Protocol.scale
-            ~seed:spec.Protocol.seed ~resilient:spec.Protocol.resilient
-            ?fault_rate:spec.Protocol.fault_rate
-            ?sample:
-              (if spec.Protocol.sample then
-                 Some Ace_sample.Sample.default_config
-               else None)
-            ~on_boundary
-            ~checkpoint_every:cfg.checkpoint_every ~path workload
-            spec.Protocol.scheme
+    let r, how =
+      Run.reopen ~io ~path
+        (Protocol.run_meta ~checkpoint_every:cfg.checkpoint_every spec)
     in
-    match outcome with
+    (* A resumed attempt's first chaos delta counts from its snapshot. *)
+    if how <> `Fresh then begin
+      last := Ace_vm.Engine.instrs (Run.engine r);
+      post mb (M_resumed { id; instrs = !last })
+    end;
+    match Run.continue ~io ~on_boundary ~path r with
     | Run.Completed r -> post mb (M_done { id; output = Render.run_output r })
     | Run.Killed_at _ ->
         (* No [kill_after] is ever passed down to [Run]. *)
@@ -243,13 +225,8 @@ let enter_degraded t =
    replays the queue once writes succeed again. *)
 let try_settle t id outcome =
   let io = t.cfg.io and dir = t.cfg.spool_dir in
-  match
-    match outcome with
-    | `Result output -> Spool.write_result ~io ~dir id output
-    | `Failed reason -> Spool.write_failed ~io ~dir id reason
-  with
+  match Spool.settle ~io ~dir id outcome with
   | () -> (
-      Spool.clear_snapshots ~io ~dir id;
       let job = Hashtbl.find t.jobs id in
       match outcome with
       | `Result _ ->

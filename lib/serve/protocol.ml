@@ -1,5 +1,6 @@
 module Codec = Ace_util.Codec
 module Scheme = Ace_harness.Scheme
+module Run = Ace_harness.Run
 
 exception Protocol_error of string
 
@@ -30,6 +31,12 @@ let job_spec ?fault_rate ?(resilient = false) ?(sample = false) ?deadline_s
     deadline_s;
     fail_after;
   }
+
+let run_meta ~checkpoint_every s =
+  Run.meta ~scale:s.scale ~seed:s.seed ~resilient:s.resilient
+    ?fault_rate:s.fault_rate
+    ?sample:(Ace_sample.Sample.of_flag s.sample)
+    ~checkpoint_every s.workload s.scheme
 
 type job_info = { id : int; state : string }
 
@@ -78,7 +85,7 @@ let checked s =
 let spec =
   let open Codec in
   let+ workload = field string (fun s -> s.workload)
-  and+ scheme = field (enum "scheme" Scheme.all) (fun s -> s.scheme)
+  and+ scheme = field Ace_ckpt.Snapshot.scheme_codec (fun s -> s.scheme)
   and+ scale = field float (fun s -> s.scale)
   and+ seed = field int (fun s -> s.seed)
   and+ fault_rate = field (option float) (fun s -> s.fault_rate)

@@ -49,6 +49,11 @@ val job_spec :
 (** Spec with the CLI's defaults: scale 1.0, seed 1, no faults, no
     sampling, no deadline. *)
 
+val run_meta : checkpoint_every:int -> job_spec -> Ace_ckpt.Snapshot.meta
+(** The checkpointed run a job executes: {!Ace_harness.Run.meta} of the
+    spec's fields, with [sample] as {!Ace_sample.Sample.of_flag} maps it.
+    @raise Invalid_argument if [checkpoint_every] is not positive. *)
+
 type job_info = { id : int; state : string }
 (** One row of the status report; [state] is one of "queued", "running",
     "done", "failed", "interrupted". *)

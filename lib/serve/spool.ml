@@ -75,17 +75,14 @@ let read_spec data =
       | spec -> Ok spec
       | exception Protocol.Protocol_error msg -> Error msg
 
-let write_result ?(io = Io.real) ~dir id output =
-  write_atomic io (result_path ~dir id) output
-
-let write_failed ?(io = Io.real) ~dir id msg =
-  write_atomic io (failed_path ~dir id) msg
+let settle ?(io = Io.real) ~dir id outcome =
+  (match outcome with
+  | `Result output -> write_atomic io (result_path ~dir id) output
+  | `Failed reason -> write_atomic io (failed_path ~dir id) reason);
+  Scratch.remove_existing ~io (Scratch.snapshot_family (snap_path ~dir id))
 
 let read_result ?(io = Io.real) ~dir id = read_file io (result_path ~dir id)
 let read_failed ?(io = Io.real) ~dir id = read_file io (failed_path ~dir id)
-
-let clear_snapshots ?(io = Io.real) ~dir id =
-  Scratch.remove_existing ~io (Scratch.snapshot_family (snap_path ~dir id))
 
 (* The typed snapshot errors let the supervisor distinguish "killed
    mid-write, fall back" (Truncated — routine under chaos) from anything

@@ -59,13 +59,21 @@ val write_spec : ?io:Ace_util.Io.t -> dir:string -> int -> Protocol.job_spec -> 
 (** Atomic and durable (tmp + fsync + rename), so a crash can never leave
     a half-written spec that a restart would refuse to parse. *)
 
-val write_result : ?io:Ace_util.Io.t -> dir:string -> int -> string -> unit
-val write_failed : ?io:Ace_util.Io.t -> dir:string -> int -> string -> unit
+val settle :
+  ?io:Ace_util.Io.t ->
+  dir:string ->
+  int ->
+  [ `Result of string | `Failed of string ] ->
+  unit
+(** Settle a finished job: write its result (or failure reason) atomically
+    and durably, then remove its snapshot family.  In that order, a crash
+    in between leaves a settled job with stray snapshots, never an
+    unsettled job without them.  Removal errors are ignored
+    ({!Ace_util.Scratch.remove_existing}).
+    @raise Ace_util.Io.Io_error if the write fails; the snapshots stay. *)
+
 val read_result : ?io:Ace_util.Io.t -> dir:string -> int -> string option
 val read_failed : ?io:Ace_util.Io.t -> dir:string -> int -> string option
-
-val clear_snapshots : ?io:Ace_util.Io.t -> dir:string -> int -> unit
-(** Remove the job's snapshot family (kept spec/result files stay). *)
 
 val scan : ?io:Ace_util.Io.t -> dir:string -> unit -> scan_result
 (** Directory entries are sorted before replay, so recovery order is

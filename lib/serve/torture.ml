@@ -71,20 +71,35 @@ let describe_point ops k mode torn =
     (match mode with `Drop -> "drop" | `Keep -> "keep")
     (if torn then ", torn" else "")
 
+let count t = function
+  | `Primary -> t.primary <- t.primary + 1
+  | `Fallback -> t.fallback <- t.fallback + 1
+  | `Fresh -> t.scratch <- t.scratch + 1
+
+(* What a daemon worker does with a job: [Run.reopen] (the newest snapshot
+   that restores, else [.1], else a fresh run), then run it to completion.
+   Both scenarios run their job through it (a reopen on an empty
+   filesystem reads, and reads are no crash points), and recover through
+   it, telling [on_reopen] which way it went. *)
+let execute ?(on_reopen = ignore) ~io ~path meta =
+  let r, how = Run.reopen ~io ~path meta in
+  on_reopen how;
+  match Run.continue ~io ~path r with
+  | Run.Completed r -> Render.run_output r
+  | Run.Killed_at _ -> assert false
+
 (* -- scenario A: the snapshot chain --------------------------------- *)
 
-let snapshot_scenario ~scale ~checkpoint_every ~seed ~workload ~gold w =
-  ignore workload;
+let snapshot_scenario ~scale ~checkpoint_every ~seed ~gold w =
   let t = new_tally "snapshot" seed in
   let path = "/snaps/job.snap" in
-  let run io =
-    Run.run_checkpointed ~io ~scale ~seed ~checkpoint_every ~path w
+  let meta =
+    Run.meta ~scale ~seed ~checkpoint_every w.Ace_workloads.Workload.name
       Scheme.Hotspot
   in
+  let run io = execute ~io ~path meta in
   let rio, ops = Io.recording (Mem.io (Mem.create ())) in
-  (match run rio with
-  | Run.Completed _ -> ()
-  | Run.Killed_at _ -> assert false);
+  ignore (run rio);
   let ops = ops () in
   List.iter
     (fun (k, mode, torn) ->
@@ -96,27 +111,9 @@ let snapshot_scenario ~scale ~checkpoint_every ~seed ~workload ~gold w =
       | exception Io.Crashed -> ()
       | _ -> violation t "%s: run finished without crashing" where);
       Mem.crash mode fs;
-      let io = Mem.io fs in
-      match
-        let output =
-          match Run.resume_run ~io ~path () with
-          | Some (Run.Completed r, `Primary) ->
-              t.primary <- t.primary + 1;
-              Render.run_output r
-          | Some (Run.Completed r, `Fallback) ->
-              t.fallback <- t.fallback + 1;
-              Render.run_output r
-          | Some (Run.Killed_at _, _) -> assert false
-          | None -> (
-              (* Neither generation survived — legal only near the very
-                 first capture, before a full snapshot ever landed. *)
-              t.scratch <- t.scratch + 1;
-              match run io with
-              | Run.Completed r -> Render.run_output r
-              | Run.Killed_at _ -> assert false)
-        in
-        output
-      with
+      (* A fresh run is legal only near the very first capture, before a
+         full snapshot ever landed. *)
+      match execute ~on_reopen:(count t) ~io:(Mem.io fs) ~path meta with
       | output ->
           if output <> gold then
             violation t "%s: recovered output differs from uninterrupted run"
@@ -132,23 +129,19 @@ let snapshot_scenario ~scale ~checkpoint_every ~seed ~workload ~gold w =
 
 (* -- scenario B: the spool job lifecycle ---------------------------- *)
 
-let lifecycle ~io ~dir ~scale ~checkpoint_every ~seed ~workload w =
+(* Admit the spec, run the job as a daemon worker does, settle it. *)
+let lifecycle ~io ~dir ~spec ~meta =
   Spool.ensure_dir ~io dir;
-  let spec = Protocol.job_spec ~scale ~seed ~workload Scheme.Hotspot in
   Spool.write_spec ~io ~dir 1 spec;
-  let path = Spool.snap_path ~dir 1 in
-  (match
-     Run.run_checkpointed ~io ~scale ~seed ~checkpoint_every ~path w
-       Scheme.Hotspot
-   with
-  | Run.Completed r -> Spool.write_result ~io ~dir 1 (Render.run_output r)
-  | Run.Killed_at _ -> assert false);
-  Spool.clear_snapshots ~io ~dir 1
+  let output = execute ~io ~path:(Spool.snap_path ~dir 1) meta in
+  Spool.settle ~io ~dir 1 (`Result output)
 
-let spool_scenario ~scale ~checkpoint_every ~seed ~workload ~gold w =
+let spool_scenario ~scale ~checkpoint_every ~seed ~workload ~gold =
   let t = new_tally "spool" seed in
   let dir = "/spool" in
-  let run io = lifecycle ~io ~dir ~scale ~checkpoint_every ~seed ~workload w in
+  let spec = Protocol.job_spec ~scale ~seed ~workload Scheme.Hotspot in
+  let meta = Protocol.run_meta ~checkpoint_every spec in
+  let run io = lifecycle ~io ~dir ~spec ~meta in
   let rio, ops = Io.recording (Mem.io (Mem.create ())) in
   run rio;
   let ops = ops () in
@@ -168,30 +161,11 @@ let spool_scenario ~scale ~checkpoint_every ~seed ~workload ~gold w =
     !found
   in
   let finish_pending t io where =
-    (* What a restarted daemon's worker does with a recovered pending job:
-       resume from its snapshot chain if any generation is intact,
-       restart it from the spec otherwise, then settle. *)
-    let path = Spool.snap_path ~dir 1 in
+    (* A restarted daemon's recovered pending job: recovered, then settled. *)
     let output =
-      match Run.resume_run ~io ~path () with
-      | Some (Run.Completed r, `Primary) ->
-          t.primary <- t.primary + 1;
-          Render.run_output r
-      | Some (Run.Completed r, `Fallback) ->
-          t.fallback <- t.fallback + 1;
-          Render.run_output r
-      | Some (Run.Killed_at _, _) -> assert false
-      | None -> (
-          t.scratch <- t.scratch + 1;
-          match
-            Run.run_checkpointed ~io ~scale ~seed ~checkpoint_every ~path w
-              Scheme.Hotspot
-          with
-          | Run.Completed r -> Render.run_output r
-          | Run.Killed_at _ -> assert false)
+      execute ~on_reopen:(count t) ~io ~path:(Spool.snap_path ~dir 1) meta
     in
-    Spool.write_result ~io ~dir 1 output;
-    Spool.clear_snapshots ~io ~dir 1;
+    Spool.settle ~io ~dir 1 (`Result output);
     let rescan = Spool.scan ~io ~dir () in
     if rescan.Spool.done_ids <> [ 1 ] || rescan.Spool.pending <> [] then
       violation t "%s: job not settled after recovery" where;
@@ -265,8 +239,8 @@ let run_matrix ?(workload = default_workload) ?(scale = default_scale)
     (fun seed ->
       let gold = Render.run_output (Run.run ~scale ~seed w Scheme.Hotspot) in
       [
-        snapshot_scenario ~scale ~checkpoint_every ~seed ~workload ~gold w;
-        spool_scenario ~scale ~checkpoint_every ~seed ~workload ~gold w;
+        snapshot_scenario ~scale ~checkpoint_every ~seed ~gold w;
+        spool_scenario ~scale ~checkpoint_every ~seed ~workload ~gold;
       ])
     seeds
 

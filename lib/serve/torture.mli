@@ -6,16 +6,17 @@
     - {e snapshot}: a checkpointed run's snapshot chain.  A recording
       pass lists every mutating filesystem operation; each (operation,
       crash-mode) pair then gets a fresh run crashed exactly there,
-      followed by real recovery ([Run.resume_run] with its [.1]-rotation
-      fallback, from-scratch restart when no generation survived).  The
-      recovered output must be byte-identical to an uninterrupted run.
+      followed by the serve daemon's own recovery ([Run.reopen]: the
+      newest snapshot that restores, else the [.1] rotation, else a
+      from-scratch restart).  The recovered output must be byte-identical
+      to an uninterrupted run.
     - {e spool}: the full serve-job lifecycle (admit spec, checkpointed
-      run, publish result, clear snapshots).  Recovery is a simulated
-      daemon restart ([Spool.ensure_dir] + [Spool.scan] + resume/rerun +
-      settle).  Invariants: a job acknowledged (spec renamed into place)
-      is never lost, never duplicated, never spuriously quarantined, its
-      spec is never refused, and its result is byte-identical to an
-      uninterrupted run.
+      run, {!Spool.settle}).  Recovery is a daemon restart
+      ([Spool.ensure_dir] + [Spool.scan]), then the daemon's [Run.reopen]
+      and [Spool.settle].  Invariants: a job acknowledged (spec renamed
+      into place) is never lost, never duplicated, never spuriously
+      quarantined, its spec is never refused, and its result is
+      byte-identical to an uninterrupted run.
 
     Crash modes per point: [`Drop] (un-fsynced data lost), [`Keep]
     (everything flushed), plus a torn-write variant for crash points

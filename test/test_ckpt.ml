@@ -119,7 +119,18 @@ let test_typed_errors () =
     (function
       | Snapshot.Crc_mismatch { stored; computed } -> stored <> computed
       | _ -> false)
-    (patch data (String.length data - 1) (fun c -> c lxor 0x01))
+    (patch data (String.length data - 1) (fun c -> c lxor 0x01));
+  (* A meta that decodes but scales its workload by a non-positive or
+     non-finite factor describes no run. *)
+  let s = List.hd snaps in
+  List.iter
+    (fun scale ->
+      expect_typed
+        ~what:(Printf.sprintf "scale %g" scale)
+        (function Snapshot.Malformed _ -> true | _ -> false)
+        (Snapshot.encode
+           (Snapshot.of_body { s.Snapshot.meta with Snapshot.scale } s.Snapshot.body)))
+    [ 0.0; -1.0; Float.nan; Float.infinity ]
 
 (* A daemon crash mid-write leaves zero-byte or partial snapshot files; the
    restarted supervisor must see [Truncated] from [read] (and skip the file)
@@ -338,12 +349,27 @@ let test_hostile_cache_tag_twice () =
     (Snapshot.of_body snap.Snapshot.meta (l1d_body (l1d_tags [ (2, 1); (3, 513) ])))
     (fun io -> Ace_mem.Cache.sync io (fresh_l1d ()))
 
+(* [Run.reopen]'s three ways: which it took, and the run it built — the
+   given snapshot restored, or a fresh run ([None]). *)
+let check_reopen ~what ~path meta expected snap =
+  let r, how = Run.reopen ~path meta in
+  if how <> expected then Alcotest.failf "%s: reopen took another way" what;
+  match snap with
+  | Some s ->
+      Alcotest.(check bool) (what ^ ": restored that snapshot") true
+        (snaps_equal s (Run.capture r))
+  | None ->
+      Alcotest.(check int) (what ^ ": starts at instruction 0") 0
+        (Ace_vm.Engine.instrs (Run.engine r))
+
 let test_write_rotates_and_falls_back () =
   let path = tmp_path () in
-  let snaps, _ = sample_snapshots () in
+  let snaps, result = sample_snapshots () in
   let s1, s2 =
     match snaps with a :: b :: _ -> (a, b) | _ -> Alcotest.fail "need 2 snaps"
   in
+  let meta = s1.Snapshot.meta in
+  check_reopen ~what:"empty file, no .1" ~path meta `Fresh None;
   Snapshot.write ~path s1;
   Snapshot.write ~path s2;
   Alcotest.(check bool) "rotated" true (Sys.file_exists (path ^ ".1"));
@@ -351,6 +377,7 @@ let test_write_rotates_and_falls_back () =
   | Some (s, `Primary) ->
       Alcotest.(check bool) "primary is newest" true (snaps_equal s s2)
   | _ -> Alcotest.fail "expected primary");
+  check_reopen ~what:"newest restores" ~path meta `Primary (Some s2);
   (* Corrupt the newest snapshot on disk: reads must fall back to the
      rotated previous one. *)
   let oc = open_out_gen [ Open_wronly; Open_binary ] 0o644 path in
@@ -361,6 +388,7 @@ let test_write_rotates_and_falls_back () =
   | Some (s, `Fallback) ->
       Alcotest.(check bool) "fallback is previous" true (snaps_equal s s1)
   | _ -> Alcotest.fail "expected fallback");
+  check_reopen ~what:"newest corrupted" ~path meta `Fallback (Some s1);
   (* Corrupt the fallback too: nothing left. *)
   let oc = open_out_gen [ Open_wronly; Open_binary ] 0o644 (path ^ ".1") in
   output_string oc "junk";
@@ -368,6 +396,30 @@ let test_write_rotates_and_falls_back () =
   Alcotest.(check bool)
     "both bad" true
     (Snapshot.read_with_fallback ~path () = None);
+  check_reopen ~what:"both corrupted" ~path meta `Fresh None;
+  (* A fresh run continued to completion is [run_checkpointed]'s run: the
+     same snapshots, the same result. *)
+  let written = ref [] in
+  (match
+     Run.continue
+       ~on_snapshot:(fun s -> written := s :: !written)
+       ~path
+       (fst (Run.reopen ~path meta))
+   with
+  | Run.Completed r ->
+      Alcotest.(check bool) "fresh run's result" true (Stdlib.compare r result = 0)
+  | Run.Killed_at _ -> Alcotest.fail "the fresh run was killed");
+  Alcotest.(check int) "fresh run's snapshot count" (List.length snaps)
+    (List.length !written);
+  List.iter2
+    (fun a b ->
+      Alcotest.(check bool) "fresh run's snapshot" true (snaps_equal a b))
+    snaps (List.rev !written);
+  (* A newest snapshot that decodes but whose body does not restore (one
+     stray trailing byte) falls back to the rotation. *)
+  Snapshot.write ~path s1;
+  Snapshot.write ~path (Snapshot.of_body meta (s2.Snapshot.body ^ "\000"));
+  check_reopen ~what:"newest body does not restore" ~path meta `Fallback (Some s1);
   cleanup path
 
 let test_torn_generations () =

@@ -65,6 +65,10 @@ let test_nonpositive_args_rejected () =
       "--checkpoint-every=nope";
       "--kill-after=0";
       "--kill-after=-1";
+      "--scale=0";
+      "--scale=-1";
+      "--scale=nan";
+      "--scale=inf";
     ]
 
 let test_jobs_rejected () =

@@ -340,6 +340,17 @@ let test_resume_metrics_identity () =
   | Run.Completed _ -> ()
   | Run.Killed_at _ -> Alcotest.fail "uninterrupted run was killed");
   let reference = Export.metrics_csv obs_full in
+  let restore_ts sink =
+    List.fold_left
+      (fun acc ev ->
+        match ev.Obs.kind with Obs.Ckpt_restore _ -> Some ev.Obs.ts | _ -> acc)
+      None (Obs.events sink)
+  in
+  (* The uninterrupted run is a fresh durable run: it restored nothing, so
+     it records no marker; its ring dropped nothing, so none was lost. *)
+  Alcotest.(check int) "fresh run's ring kept every event" 0 (Obs.dropped obs_full);
+  Alcotest.(check bool) "fresh run records no Ckpt_restore" true
+    (restore_ts obs_full = None);
   cleanup ();
   let obs_kill = Obs.create Obs.Full in
   (match
@@ -349,20 +360,17 @@ let test_resume_metrics_identity () =
   | Run.Killed_at _ -> ()
   | Run.Completed _ -> Alcotest.fail "kill_after did not kill");
   let obs_resumed = Obs.create Obs.Full in
-  (match Run.resume_run ~obs:obs_resumed ~path () with
-  | Some (Run.Completed _, `Primary) -> ()
-  | _ -> Alcotest.fail "resume did not complete from the primary snapshot");
+  (match Run.restore_latest ~obs:obs_resumed ~path () with
+  | Some (r, `Primary) -> (
+      match Run.continue ~path r with
+      | Run.Completed _ -> ()
+      | Run.Killed_at _ -> Alcotest.fail "the resumed run was killed")
+  | _ -> Alcotest.fail "no restore from the primary snapshot");
   cleanup ();
   Alcotest.(check string) "resumed metrics are byte-identical" reference
     (Export.metrics_csv obs_resumed);
   let evs = Obs.events obs_resumed in
-  let restore_ts =
-    List.fold_left
-      (fun acc ev ->
-        match ev.Obs.kind with Obs.Ckpt_restore _ -> Some ev.Obs.ts | _ -> acc)
-      None evs
-  in
-  (match restore_ts with
+  (match restore_ts obs_resumed with
   | None -> Alcotest.fail "resumed timeline lacks the Ckpt_restore marker"
   | Some ts ->
       Alcotest.(check bool) "timeline reaches back before the kill" true

@@ -270,9 +270,9 @@ let test_spool_scan_classifies () =
       let spec = Protocol.job_spec ~scale:0.1 ~seed:3 ~workload:"compress" Scheme.Hotspot in
       Spool.write_spec ~dir 1 spec;
       Spool.write_spec ~dir 2 spec;
-      Spool.write_result ~dir 2 "output\n";
+      Spool.settle ~dir 2 (`Result "output\n");
       Spool.write_spec ~dir 5 spec;
-      Spool.write_failed ~dir 5 "poisoned";
+      Spool.settle ~dir 5 (`Failed "poisoned");
       let scan = Spool.scan ~dir () in
       Alcotest.(check int) "next id past the highest ever used" 6 scan.Spool.next_id;
       Alcotest.(check (list int)) "pending"

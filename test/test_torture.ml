@@ -205,8 +205,8 @@ let test_spool_scan_shuffled_readdir () =
   Spool.ensure_dir ~io dir;
   let spec i = Protocol.job_spec ~seed:i ~workload:"compress" Ace_harness.Scheme.Hotspot in
   List.iter (fun i -> Spool.write_spec ~io ~dir i (spec i)) [ 5; 2; 9; 1; 7 ];
-  Spool.write_result ~io ~dir 2 "out";
-  Spool.write_failed ~io ~dir 7 "boom";
+  Spool.settle ~io ~dir 2 (`Result "out");
+  Spool.settle ~io ~dir 7 (`Failed "boom");
   let reference = Spool.scan ~io ~dir () in
   Alcotest.(check (list int)) "pending sorted" [ 1; 5; 9 ]
     (List.map (fun (e : Spool.entry) -> e.Spool.id) reference.Spool.pending);
